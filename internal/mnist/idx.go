@@ -35,12 +35,29 @@ const (
 
 // ReadIDX loads an MNIST image file and its label file in the standard
 // IDX format (as distributed at yann.lecun.com, already gunzipped).
+// Counts in the headers are not trusted: storage grows only as data
+// arrives, and a label outside 0–9 is an error.
 func ReadIDX(imagePath, labelPath string) ([]Image, error) {
-	imgs, err := readIDXImages(imagePath)
+	imgF, err := os.Open(imagePath)
 	if err != nil {
 		return nil, err
 	}
-	labels, err := readIDXLabels(labelPath)
+	defer imgF.Close()
+	lblF, err := os.Open(labelPath)
+	if err != nil {
+		return nil, err
+	}
+	defer lblF.Close()
+	return decodeIDX(bufio.NewReader(imgF), bufio.NewReader(lblF))
+}
+
+// decodeIDX decodes an IDX image stream and its label stream.
+func decodeIDX(imgR, lblR io.Reader) ([]Image, error) {
+	imgs, err := decodeIDXImages(imgR)
+	if err != nil {
+		return nil, err
+	}
+	labels, err := decodeIDXLabels(lblR)
 	if err != nil {
 		return nil, err
 	}
@@ -53,55 +70,47 @@ func ReadIDX(imagePath, labelPath string) ([]Image, error) {
 	return imgs, nil
 }
 
-func readIDXImages(path string) ([]Image, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
+func decodeIDXImages(r io.Reader) ([]Image, error) {
 	var hdr [4]uint32
-	for i := range hdr {
-		if err := binary.Read(r, binary.BigEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("mnist: reading %s header: %w", path, err)
-		}
+	if err := binary.Read(r, binary.BigEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("mnist: reading image header: %w", err)
 	}
 	if hdr[0] != magicImages {
-		return nil, fmt.Errorf("mnist: %s has magic %#x, want %#x", path, hdr[0], magicImages)
+		return nil, fmt.Errorf("mnist: image file has magic %#x, want %#x", hdr[0], magicImages)
 	}
 	if hdr[2] != Side || hdr[3] != Side {
-		return nil, fmt.Errorf("mnist: %s is %dx%d, want %dx%d", path, hdr[2], hdr[3], Side, Side)
+		return nil, fmt.Errorf("mnist: images are %dx%d, want %dx%d", hdr[2], hdr[3], Side, Side)
 	}
-	n := int(hdr[1])
-	imgs := make([]Image, n)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(r, imgs[i].Pixels[:]); err != nil {
-			return nil, fmt.Errorf("mnist: reading image %d: %w", i, err)
+	var imgs []Image
+	for i := uint32(0); i < hdr[1]; i++ {
+		var img Image
+		if _, err := io.ReadFull(r, img.Pixels[:]); err != nil {
+			return nil, fmt.Errorf("mnist: reading image %d of %d: %w", i, hdr[1], err)
 		}
+		imgs = append(imgs, img)
 	}
 	return imgs, nil
 }
 
-func readIDXLabels(path string) ([]uint8, error) {
-	f, err := os.Open(path)
+func decodeIDXLabels(r io.Reader) ([]uint8, error) {
+	var hdr [2]uint32
+	if err := binary.Read(r, binary.BigEndian, &hdr); err != nil {
+		return nil, fmt.Errorf("mnist: reading label header: %w", err)
+	}
+	if hdr[0] != magicLabels {
+		return nil, fmt.Errorf("mnist: label file has magic %#x, want %#x", hdr[0], magicLabels)
+	}
+	labels, err := io.ReadAll(io.LimitReader(r, int64(hdr[1])))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mnist: reading labels: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	var magic, count uint32
-	if err := binary.Read(r, binary.BigEndian, &magic); err != nil {
-		return nil, err
+	if len(labels) != int(hdr[1]) {
+		return nil, fmt.Errorf("mnist: label file holds %d of %d labels: %w", len(labels), hdr[1], io.ErrUnexpectedEOF)
 	}
-	if magic != magicLabels {
-		return nil, fmt.Errorf("mnist: %s has magic %#x, want %#x", path, magic, magicLabels)
-	}
-	if err := binary.Read(r, binary.BigEndian, &count); err != nil {
-		return nil, err
-	}
-	labels := make([]uint8, count)
-	if _, err := io.ReadFull(r, labels); err != nil {
-		return nil, err
+	for i, l := range labels {
+		if l > 9 {
+			return nil, fmt.Errorf("mnist: label %d is %d, want 0–9", i, l)
+		}
 	}
 	return labels, nil
 }

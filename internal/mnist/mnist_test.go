@@ -1,9 +1,12 @@
 package mnist
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -137,9 +140,94 @@ func TestIDXRejectsBadMagic(t *testing.T) {
 	if err := os.WriteFile(bad, []byte{0, 0, 8, 1, 0, 0, 0, 0}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readIDXImages(bad); err == nil {
+	if _, err := ReadIDX(bad, bad); err == nil {
 		t.Fatal("expected magic error for label file read as images")
 	}
+}
+
+// TestIDXHugeCountHeader: a 16-byte image file whose header claims
+// 0xFFFFFFFF images must fail on the missing data without first
+// allocating room for the claimed count (≈3.4 TB).
+func TestIDXHugeCountHeader(t *testing.T) {
+	dir := t.TempDir()
+	imgPath, lblPath := filepath.Join(dir, "imgs"), filepath.Join(dir, "lbls")
+	if err := WriteIDX(nil, imgPath, lblPath); err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := os.ReadFile(imgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(hdr[4:8], 0xFFFFFFFF)
+	if err := os.WriteFile(imgPath, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadIDX(imgPath, lblPath); err == nil {
+		t.Fatal("truncated image file with a huge count was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 16-byte file allocated %d bytes", grew)
+	}
+}
+
+// TestIDXRejectsOutOfRangeLabel: labels index per-class tables of size
+// 10 downstream, so a label byte above 9 is a read error.
+func TestIDXRejectsOutOfRangeLabel(t *testing.T) {
+	dir := t.TempDir()
+	imgPath, lblPath := filepath.Join(dir, "imgs"), filepath.Join(dir, "lbls")
+	if err := WriteIDX(Synthetic(5, 1), imgPath, lblPath); err != nil {
+		t.Fatal(err)
+	}
+	lbl, err := os.ReadFile(lblPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lbl[8+3] = 10
+	if err := os.WriteFile(lblPath, lbl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIDX(imgPath, lblPath); err == nil {
+		t.Fatal("label 10 was accepted")
+	}
+}
+
+// FuzzReadIDX: any image/label byte pair either decodes to images the
+// data actually holds, all labeled 0–9, or fails with an error. Seeded
+// with WriteIDX output of the synthetic corpus.
+func FuzzReadIDX(f *testing.F) {
+	dir := f.TempDir()
+	for _, n := range []int{0, 1, 3} {
+		imgPath, lblPath := filepath.Join(dir, "imgs"), filepath.Join(dir, "lbls")
+		if err := WriteIDX(Synthetic(n, 1), imgPath, lblPath); err != nil {
+			f.Fatal(err)
+		}
+		img, err := os.ReadFile(imgPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lbl, err := os.ReadFile(lblPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img, lbl)
+	}
+	f.Fuzz(func(t *testing.T, img, lbl []byte) {
+		imgs, err := decodeIDX(bytes.NewReader(img), bytes.NewReader(lbl))
+		if err != nil {
+			return
+		}
+		if len(imgs)*Side*Side > len(img) {
+			t.Fatalf("decoded %d images from %d bytes", len(imgs), len(img))
+		}
+		for i := range imgs {
+			if imgs[i].Label > 9 {
+				t.Fatalf("image %d has label %d", i, imgs[i].Label)
+			}
+		}
+	})
 }
 
 func TestLoadFallsBackToSynthetic(t *testing.T) {

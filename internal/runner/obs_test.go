@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -159,6 +160,38 @@ func TestPoolTelemetry(t *testing.T) {
 	// The run histogram must account for the slow job.
 	if s := reg.Histogram("test.pool.run").Summary(); s.MaxMs < 1 {
 		t.Fatalf("run max = %gms, want ≥ 1ms", s.MaxMs)
+	}
+}
+
+// TestPoolUtilizationCumulative: the utilization gauge covers every
+// batch run under its name, not just the last one. A saturated batch
+// (one worker, always busy) followed by a half-idle one (two workers,
+// one job much shorter) must report their combined busy time over
+// their combined capacity.
+func TestPoolUtilizationCumulative(t *testing.T) {
+	reg := obs.NewRegistry()
+	sleep := func(d time.Duration) Job[int] {
+		return Job[int]{Label: d.String(), Run: func() (int, error) { time.Sleep(d); return 0, nil }}
+	}
+	var capacity time.Duration
+	for _, b := range []struct {
+		workers int
+		jobs    []Job[int]
+	}{
+		{1, []Job[int]{sleep(60 * time.Millisecond)}},
+		{2, []Job[int]{sleep(60 * time.Millisecond), sleep(0)}},
+	} {
+		p := &Pool[int]{Workers: b.workers, Obs: reg, Name: "test.pool"}
+		start := time.Now()
+		if _, err := p.Run(b.jobs); err != nil {
+			t.Fatal(err)
+		}
+		capacity += time.Duration(b.workers) * time.Since(start)
+	}
+	want := float64(reg.Histogram("test.pool.run").Sum()) / float64(capacity)
+	got := reg.Gauge("test.pool.utilization").Value()
+	if math.Abs(got-want) > 0.05 {
+		t.Fatalf("utilization = %.3f, want the combined ratio %.3f (the last batch alone is ≈0.5)", got, want)
 	}
 }
 

@@ -83,9 +83,11 @@ type Pool[T any] struct {
 	OnResult func(index int, v T, cacheHit bool) error
 	// Obs, when non-nil, receives the pool's telemetry: per-job queue
 	// and run duration histograms ("<name>.wait", "<name>.run"), job
-	// and cache-hit counters ("<name>.jobs", "<name>.hits"), and
-	// per-batch worker-count and utilization gauges ("<name>.workers",
-	// "<name>.utilization", busy time over workers × wall). Telemetry
+	// and cache-hit counters ("<name>.jobs", "<name>.hits"), the last
+	// batch's worker count ("<name>.workers"), and utilization summed
+	// over all batches: busy and capacity (workers × wall) counters
+	// ("<name>.busy_ns", "<name>.capacity_ns") and their ratio
+	// ("<name>.utilization"). Telemetry
 	// never affects results (it observes completions the pool already
 	// serializes); a nil registry costs nothing.
 	Obs *obs.Registry
@@ -249,11 +251,15 @@ func (p *Pool[T]) Run(jobs []Job[T]) ([]T, error) {
 	}
 	wg.Wait()
 	if p.Obs != nil {
-		wall := time.Since(batchStart)
+		// Utilization is cumulative over every batch the registry has
+		// seen under this name: running busy and capacity totals, so a
+		// report shows the whole campaign rather than its last batch.
+		busy, capacity := p.Obs.Counter(name+".busy_ns"), p.Obs.Counter(name+".capacity_ns")
+		busy.Add(busyNs.Load())
+		capacity.Add(int64(workers) * int64(time.Since(batchStart)))
 		p.Obs.Gauge(name + ".workers").Set(float64(workers))
-		if wall > 0 {
-			p.Obs.Gauge(name + ".utilization").Set(
-				float64(busyNs.Load()) / (float64(workers) * float64(wall)))
+		if c := capacity.Value(); c > 0 {
+			p.Obs.Gauge(name + ".utilization").Set(float64(busy.Value()) / float64(c))
 		}
 	}
 

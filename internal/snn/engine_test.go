@@ -200,11 +200,12 @@ func TestTrainBatchSemantics(t *testing.T) {
 	}
 }
 
-// TestInferenceMatchesStepKernel anchors the frozen-parameter kernel
-// against DiehlCook.Step(learn=false): with adaptation disabled
-// (ThetaPlus = 0) a learn=false presentation through the training
-// kernel IS frozen inference, so both paths must produce bit-identical
-// spike counts for the same per-image seeds.
+// TestInferenceMatchesStepKernel anchors the frozen presentation —
+// Params.presentImage through the shared network step — against the
+// dense reference with theta frozen, on a network trained for a few
+// images (so theta is nonzero) with every fault hook set: the frozen
+// view must fold theta and the hooks in exactly, and the presentation
+// loop must run Steps driven steps then RestSteps quiet ones.
 func TestInferenceMatchesStepKernel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 20, 20
@@ -214,30 +215,38 @@ func TestInferenceMatchesStepKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disable excitatory adaptation so theta stays identically zero in
-	// the training kernel (the inference kernel freezes theta always).
-	n.Exc.Cfg.ThetaPlus = 0
-	// Exercise the fault hooks too: the frozen view must fold them in.
-	n.Exc.ThreshScale.Fill(0.95)
-	n.Inh.ThreshScale.Fill(1.05)
-	n.Exc.InputGain.Fill(1.1)
-	n.Exc.Reset()
-	n.Inh.Reset()
+	images := mnist.Synthetic(8, 3)
+	if _, err := Train(n, images[:4], encoding.NewPoissonEncoder(5)); err != nil {
+		t.Fatal(err)
+	}
+	if n.Exc.Theta.Sum() == 0 {
+		t.Fatal("training left theta at zero; the comparison would not cover it")
+	}
+	for j := range n.Exc.ThreshScale {
+		n.Exc.ThreshScale[j] = 0.9 + 0.01*float64(j%6)
+		n.Exc.InputGain[j] = 1.1 - 0.02*float64(j%4)
+		n.Inh.ThreshScale[j] = 1.05
+	}
+	n.InputDriveScale = 0.9
 
-	images := mnist.Synthetic(5, 3)
 	const seed = 9
 	p := n.Params()
 	st := p.NewState()
-	enc := encoding.NewPoissonEncoder(0)
+	ref := newFrozenRefNet(t, n)
+	want := tensor.NewVector(cfg.NExc)
 	for i := range images {
-		enc.Reseed(ImageSeed(seed, i))
-		enc.Begin(&images[i])
-		want := n.RunImageStream(enc.EncodeStep, false)
-
+		ref.reset()
+		want.Zero()
+		train := encoding.NewPoissonEncoder(ImageSeed(seed, i)).Encode(&images[i], cfg.Steps)
+		for _, in := range append(train, make([][]int, cfg.RestSteps)...) {
+			for _, j := range ref.step(in, false) {
+				want[j]++
+			}
+		}
 		got := p.presentImage(st, &images[i], ImageSeed(seed, i))
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("image %d neuron %d: inference %g, step kernel %g", i, j, got[j], want[j])
+				t.Fatalf("image %d neuron %d: frozen step %g, dense reference %g", i, j, got[j], want[j])
 			}
 		}
 		if got.Sum() == 0 {

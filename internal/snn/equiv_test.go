@@ -16,6 +16,7 @@ package snn
 // kernels) tracks the engine's weights exactly.
 
 import (
+	"math"
 	"testing"
 
 	"snnfi/internal/encoding"
@@ -39,17 +40,22 @@ type refLIF struct {
 	scratch []int
 }
 
-func newRefLIF(t *testing.T, cfg LIFConfig) *refLIF {
-	t.Helper()
-	g, err := NewLIFGroup(cfg)
-	if err != nil {
-		t.Fatal(err)
+func newRefLIF(cfg LIFConfig) *refLIF {
+	g := &refLIF{
+		cfg: cfg, v: tensor.NewVector(cfg.N), theta: tensor.NewVector(cfg.N), trace: tensor.NewVector(cfg.N),
+		refrac: make([]int, cfg.N), tscale: tensor.NewVector(cfg.N), gain: tensor.NewVector(cfg.N),
+		decay: math.Exp(-cfg.Dt / cfg.TCDecay), thDecay: 1, trDecay: 1,
 	}
-	return &refLIF{
-		cfg: cfg, v: g.V.Copy(), theta: g.Theta.Copy(), trace: g.Trace.Copy(),
-		refrac: make([]int, cfg.N), tscale: g.ThreshScale.Copy(), gain: g.InputGain.Copy(),
-		decay: g.decay, thDecay: g.thetaDecay, trDecay: g.traceDecay,
+	g.v.Fill(cfg.Rest)
+	g.tscale.Fill(1)
+	g.gain.Fill(1)
+	if cfg.ThetaDecayTC > 0 {
+		g.thDecay = math.Exp(-cfg.Dt / cfg.ThetaDecayTC)
 	}
+	if cfg.TraceTC > 0 {
+		g.trDecay = math.Exp(-cfg.Dt / cfg.TraceTC)
+	}
+	return g
 }
 
 func (g *refLIF) reset() {
@@ -87,14 +93,15 @@ func (g *refLIF) step(drive tensor.Vector) []int {
 // matrix; wt is its transposed view maintained through the tensor
 // kernels.
 type refNet struct {
-	cfg      DiehlCookConfig
-	w, wt    *tensor.Matrix
-	exc, inh *refLIF
-	preTrace tensor.Vector
-	driveExc tensor.Vector
-	driveInh tensor.Vector
-	prevExc  []int
-	prevInh  []int
+	cfg        DiehlCookConfig
+	driveScale float64
+	w, wt      *tensor.Matrix
+	exc, inh   *refLIF
+	preTrace   tensor.Vector
+	driveExc   tensor.Vector
+	driveInh   tensor.Vector
+	prevExc    []int
+	prevInh    []int
 }
 
 func newRefNet(t *testing.T, cfg DiehlCookConfig) *refNet {
@@ -107,12 +114,34 @@ func newRefNet(t *testing.T, cfg DiehlCookConfig) *refNet {
 	r := &refNet{
 		cfg: cfg,
 		w:   eng.W.Copy(), wt: tensor.NewMatrix(cfg.NExc, cfg.NInput),
-		exc: newRefLIF(t, ExcConfig(cfg.NExc)), inh: newRefLIF(t, InhConfig(cfg.NInh)),
-		preTrace: tensor.NewVector(cfg.NInput),
-		driveExc: tensor.NewVector(cfg.NExc),
-		driveInh: tensor.NewVector(cfg.NInh),
+		exc: newRefLIF(ExcConfig(cfg.NExc)), inh: newRefLIF(InhConfig(cfg.NInh)),
+		driveScale: 1,
+		preTrace:   tensor.NewVector(cfg.NInput),
+		driveExc:   tensor.NewVector(cfg.NExc),
+		driveInh:   tensor.NewVector(cfg.NInh),
 	}
 	r.w.TransposeInto(r.wt)
+	return r
+}
+
+// newFrozenRefNet is the dense reference of n's frozen inference view:
+// weights, theta and fault hooks copied from n, with theta neither
+// decaying nor adapting.
+func newFrozenRefNet(t *testing.T, n *DiehlCook) *refNet {
+	t.Helper()
+	r := newRefNet(t, n.Cfg)
+	r.w = n.W.Copy()
+	r.w.TransposeInto(r.wt)
+	r.driveScale = n.InputDriveScale
+	for _, l := range []struct {
+		ref *refLIF
+		g   *LIFGroup
+	}{{r.exc, n.Exc}, {r.inh, n.Inh}} {
+		copy(l.ref.theta, l.g.Theta)
+		copy(l.ref.tscale, l.g.ThreshScale)
+		copy(l.ref.gain, l.g.InputGain)
+		l.ref.thDecay, l.ref.cfg.ThetaPlus = 1, 0
+	}
 	return r
 }
 
@@ -135,7 +164,11 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	cfg := &r.cfg
 	// Shared-order drive accumulation and O(NExc) inhibition — the two
 	// reordered summations, identical to the engine's.
-	r.w.SumRows(inputSpikes, r.driveExc)
+	if r.driveScale != 1 {
+		r.w.SumRowsScaled(inputSpikes, r.driveScale, r.driveExc)
+	} else {
+		r.w.SumRows(inputSpikes, r.driveExc)
+	}
 	if k := len(r.prevInh); k > 0 {
 		sub := float64(k) * cfg.WInhExc
 		for i := range r.driveExc {

@@ -1,42 +1,20 @@
 package snn
 
-// Minibatch STDP training engine (train-protocol-v3, TrainOptions.Batch
-// > 1).
-//
-// The serial Diehl&Cook protocol is order-dependent: image i's STDP
-// runs against the weights image i−1 left behind, so the learning pass
-// cannot be parallelized without changing what is computed. Minibatch
-// training changes it deliberately and deterministically: each group of
-// Batch consecutive images is presented against the *same* frozen
-// snapshot of the plastic parameters (weights and excitatory adaptive
-// thresholds, normalized once at the start of the batch), each image's
-// parameter updates are computed independently, and the per-image
-// updates are merged in image order:
+// Minibatch STDP (train-protocol-v3, TrainOptions.Batch > 1): each
+// group of Batch images is presented against the same frozen snapshot
+// of the weights and excitatory theta (normalized once per batch), and
+// the per-image updates are merged in image order:
 //
 //	W      = clamp( W_frozen + Σ_i (W_i − W_frozen), 0, WMax )
 //	Theta  = Theta_frozen + Σ_i (Theta_i − Theta_frozen)
 //
-// Independence is what buys parallelism: the batch's presentations run
-// concurrently on a pool of worker clones, and because every image's
-// delta depends only on (frozen parameters, image, its presentation
-// seed ImageSeed(base, i)) — never on scheduling — and the merge folds
-// deltas in image index order, the trained result is bit-identical at
-// every worker count and completion order. Batch = 1 does not route
-// here: the serial path applies updates in place, and floating point
-// makes frozen + (trained − frozen) differ from trained in the last
-// ulp, so the batch engine at width 1 would not reproduce it.
-//
-// A per-image weight delta is sparse: STDP only touches synapses whose
-// pre and post traces are nonzero, i.e. rows in the image's final
-// preActive support and columns in its final postActive support (both
-// supersets of the touched set — depression writes inputSpikes ×
-// postActive rows/cols and every spiked pixel enters preActive the same
-// step; potentiation writes preActive × excSpikes and excSpikes joins
-// postActive before the learn pass). Extraction walks that submatrix,
-// records entries whose value moved, and restores them to the frozen
-// values — returning the clone to the snapshot for its next image
-// without a full-matrix copy. Theta moves densely (it decays every
-// driven step), so its delta is a dense vector.
+// Each delta depends only on (snapshot, image, ImageSeed(base, i)), so
+// presentations run concurrently on worker clones, bit-identical at
+// every worker count. (Batch = 1 stays serial: frozen + (trained −
+// frozen) differs from trained in the last ulp.) A weight delta lies
+// in the image's final preActive × postActive submatrix; extraction
+// records the entries that moved and restores them, returning the
+// clone to the snapshot without a full copy. Theta's delta is dense.
 
 import (
 	"fmt"
@@ -56,75 +34,44 @@ type trainDelta struct {
 	cols   []int         // STDP-touched columns, for dirty normalization
 }
 
-// trainClone is one training worker's private network + encoder. Its
-// plastic parameters track the master's batch snapshot: sync performs
-// the full copy when the master has merged a batch since the clone last
-// looked, and present restores the touched entries afterwards, so
-// within a batch the clone stays on the snapshot without re-copying.
+// trainClone is one training worker's private network + encoder. sync
+// copies the master's snapshot when a batch has been merged since the
+// clone last looked; present restores what it touched, so within a
+// batch the clone stays on the snapshot without re-copying.
 type trainClone struct {
 	net     *DiehlCook
 	enc     *encoding.PoissonEncoder
 	version uint64 // master merge counter the clone's parameters mirror
 }
 
-// newTrainClone builds a worker clone of master: same configuration and
-// fault hooks, own weight/state storage. Plastic parameters are synced
-// separately (version 0 forces the first sync).
-func newTrainClone(master *DiehlCook, enc *encoding.PoissonEncoder) (*trainClone, error) {
-	cfg := master.Cfg
-	exc, err := NewLIFGroup(master.Exc.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	inh, err := NewLIFGroup(master.Inh.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(exc.ThreshScale, master.Exc.ThreshScale)
-	copy(exc.InputGain, master.Exc.InputGain)
-	copy(inh.ThreshScale, master.Inh.ThreshScale)
-	copy(inh.InputGain, master.Inh.InputGain)
-	n := &DiehlCook{
-		Cfg:             cfg,
-		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
-		Exc:             exc,
-		Inh:             inh,
-		InputDriveScale: master.InputDriveScale,
-		preLastSpike:    make([]int, cfg.NInput),
-		preSeen:         make([]bool, cfg.NInput),
-		postSeen:        make([]bool, cfg.NExc),
-		dirtySeen:       make([]bool, cfg.NExc),
-		driveExc:        tensor.NewVector(cfg.NExc),
-		driveInh:        tensor.NewVector(cfg.NInh),
-	}
+// newTrainClone builds a worker clone of master with the same
+// configuration and fault hooks; version 0 forces the first sync.
+func newTrainClone(master *DiehlCook, enc *encoding.PoissonEncoder) *trainClone {
+	n := newDiehlCook(master.Cfg, master.Exc.clone(), master.Inh.clone(), master.InputDriveScale)
 	ce := encoding.NewPoissonEncoder(0)
 	ce.MaxRate, ce.Dt, ce.Mode = enc.MaxRate, enc.Dt, enc.Mode
-	return &trainClone{net: n, enc: ce}, nil
+	return &trainClone{net: n, enc: ce}
 }
 
-// sync brings the clone's plastic parameters (weights, adaptive
-// thresholds) up to the master's batch snapshot. The master is
-// read-only for the duration of a batch, so concurrent syncs from
-// several clones are safe.
+// sync copies the master's weights and theta if a batch was merged
+// since the last sync. The master is read-only during a batch.
 func (c *trainClone) sync(master *DiehlCook, version uint64) {
 	if c.version == version {
 		return
 	}
 	copy(c.net.W.Data, master.W.Data)
 	copy(c.net.Exc.Theta, master.Exc.Theta)
-	copy(c.net.Inh.Theta, master.Inh.Theta)
 	c.version = version
 }
 
-// present runs one learning presentation of img on the clone, extracts
-// the parameter delta against the master's frozen snapshot, and
-// restores the clone to the snapshot. The delta depends only on the
-// snapshot, the image, and the seed.
+// present runs one learning presentation of img on the clone and
+// returns its delta against the master's snapshot, restoring the clone
+// to the snapshot.
 func (c *trainClone) present(master *DiehlCook, img *mnist.Image, seed int64) trainDelta {
 	c.enc.Reseed(seed)
 	c.enc.Begin(img)
 	n := c.net
-	n.presentLearn(c.enc.EncodeStep)
+	n.present(c.enc.EncodeStep, true)
 
 	d := trainDelta{
 		dTheta: make(tensor.Vector, len(n.Exc.Theta)),
@@ -163,12 +110,7 @@ func applyDeltas(n *DiehlCook, deltas []trainDelta) {
 			wd[e] += d.wDelta[k]
 		}
 		n.Exc.Theta.Add(d.dTheta)
-		for _, j := range d.cols {
-			if !n.dirtySeen[j] {
-				n.dirtySeen[j] = true
-				n.dirtyCols = append(n.dirtyCols, j)
-			}
-		}
+		n.markDirty(d.cols)
 	}
 	wmax := n.Cfg.WMax
 	for _, d := range deltas {
@@ -182,10 +124,8 @@ func applyDeltas(n *DiehlCook, deltas []trainDelta) {
 	}
 }
 
-// trainMinibatch is the Batch > 1 learning pass of TrainWith: images
-// are grouped into batches of opt.Batch, each batch is normalized,
-// presented in parallel against the frozen parameters, and merged in
-// image order. Results are bit-identical at every opt.Workers.
+// trainMinibatch is TrainWith's Batch > 1 learning pass: each batch is
+// normalized, presented in parallel, and merged in image order.
 func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, opt TrainOptions) error {
 	batch := opt.Batch
 	workers := opt.Workers
@@ -197,11 +137,7 @@ func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEnc
 	}
 	clones := make(chan *trainClone, workers)
 	for w := 0; w < workers; w++ {
-		c, err := newTrainClone(n, enc)
-		if err != nil {
-			return err
-		}
-		clones <- c
+		clones <- newTrainClone(n, enc)
 	}
 
 	base := enc.Seed()
@@ -217,7 +153,6 @@ func trainMinibatch(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEnc
 		n.normalizeDirty()
 		jobs := make([]runner.Job[trainDelta], 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			i := i
 			jobs = append(jobs, runner.Job[trainDelta]{
 				Label: fmt.Sprintf("train image %d", i),
 				Run: func() (trainDelta, error) {

@@ -33,14 +33,10 @@ type DiehlCookConfig struct {
 
 // DefaultConfig returns the experimental configuration: 100 excitatory
 // + 100 inhibitory neurons, 250 ms presentations, BindsNET eth_mnist
-// constants for the fixed weights.
-//
-// Learning rates follow BindsNET's library defaults nu = (1e-4, 1e-2)
-// rather than the 0.0004/0.0002 quoted in the paper's text: under our
-// discretization the quoted rates cannot bootstrap neuron
-// specialization (winners rotate uniformly and never imprint), while
-// the library defaults reproduce the paper's ~76% baseline. See
-// EXPERIMENTS.md for the calibration record.
+// constants for the fixed weights. Learning rates are BindsNET's
+// library defaults nu = (1e-4, 1e-2), not the paper's quoted
+// 0.0004/0.0002: under our discretization those never imprint, while
+// the defaults reproduce the paper's ~76% baseline (EXPERIMENTS.md).
 func DefaultConfig() DiehlCookConfig {
 	return DiehlCookConfig{
 		NInput: 784, NExc: 100, NInh: 100,
@@ -70,15 +66,12 @@ func (c DiehlCookConfig) Validate() error {
 }
 
 // DiehlCook is the trainable network with fault-injection hooks exposed
-// through its layers and the InputDriveScale knob.
-//
-// The hot path is built around sparse supports (see DESIGN.md
-// "Network-tier hot path"): the per-image sets of pixels and excitatory
-// neurons with nonzero STDP traces are tracked as index lists, so the
-// plasticity loops and trace updates touch only active synapses instead
-// of walking full layers, and the pre-synaptic trace itself is lazily
-// evaluated from each pixel's last spike time (bit-identical to the
-// dense per-step decay).
+// through its layers and the InputDriveScale knob. It owns a private
+// Params+State, runs them with the network step frozen inference uses,
+// and runs its plasticity around that step (see Step). Plasticity
+// works on sparse supports (see DESIGN.md "Network-tier hot path"), and
+// a pixel's pre-synaptic trace is read from its last spike step through
+// preDecayTable, bit-identical to a dense per-step decay.
 type DiehlCook struct {
 	Cfg DiehlCookConfig
 
@@ -86,47 +79,35 @@ type DiehlCook struct {
 	Exc *LIFGroup
 	Inh *LIFGroup
 
-	// InputDriveScale multiplies the input→exc drive per input spike —
-	// the network-level image of driver spike-amplitude corruption
-	// (Attack 1 / the driver component of Attack 5). Per-neuron
-	// granularity lives in Exc.InputGain; this is the global knob.
+	// InputDriveScale multiplies the input→exc drive per input spike:
+	// the global driver-corruption knob (Attack 1, the driver part of
+	// Attack 5); Exc.InputGain is the per-neuron one.
 	InputDriveScale float64
 
-	// Sparse trace state, reset per image. A pixel's pre-synaptic trace
-	// is 1 at its spike step and decays by preTraceDecayPerMs each
-	// later step; instead of densely decaying a trace vector every
-	// step, the network records each pixel's last spike step and reads
-	// the trace as preDecayTable(d)[d] for d steps since — a table
-	// built by the same iterated multiplication the dense decay would
-	// perform (so values are bit-identical), shared by every network
-	// in the process (see preDecayTable). preActive lists the pixels
-	// with nonzero trace, in first-spike order; postActive likewise
-	// lists excitatory neurons with nonzero post trace (the trace
-	// itself lives densely in Exc.Trace — the excitatory support is
-	// tiny under winner-take-all dynamics).
+	// p and st are what the step runs on. ResetState loads p from Cfg,
+	// W and the hooks (so hook changes apply from the next
+	// presentation); Step rewrites p.Exc.EffThresh from theta.
+	p  Params
+	st State
+
+	thetaDecay, traceDecay float64 // per-step excitatory decays
+
+	// Per-image trace supports, in first-spike order: preActive lists
+	// the pixels that spiked (last spike step in preLastSpike),
+	// postActive the excitatory neurons with a nonzero postTrace.
 	preLastSpike []int
 	preSeen      []bool
 	preActive    []int
+	postTrace    tensor.Vector
 	postActive   []int
 	postSeen     []bool
 	stepT        int // steps since ResetState
 
-	// Dirty-column tracking for incremental normalization: the weight
-	// columns STDP has touched since the last normalization, i.e. the
-	// columns that may no longer sum to Cfg.Norm. Every STDP update
-	// (depression over postActive, potentiation over excSpikes) lands in
-	// a column whose neuron spiked during a learning step of the current
-	// or an earlier un-normalized image, and Step marks exactly those
-	// columns. NOT maintained across direct writes to W.Data (extension
-	// fault hooks) — those callers must use the full NormalizeWeights.
+	// The weight columns STDP has touched since the last
+	// normalization. Direct writes to W.Data (extension fault hooks)
+	// are not tracked; those callers must use NormalizeWeights.
 	dirtyCols []int
 	dirtySeen []bool
-
-	// scratch
-	driveExc tensor.Vector
-	driveInh tensor.Vector
-	prevExc  []int
-	prevInh  []int
 }
 
 // NewDiehlCook builds a network with uniform random initial weights.
@@ -134,41 +115,39 @@ func NewDiehlCook(cfg DiehlCookConfig) (*DiehlCook, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	exc, err := NewLIFGroup(ExcConfig(cfg.NExc))
-	if err != nil {
-		return nil, err
-	}
-	inh, err := NewLIFGroup(InhConfig(cfg.NInh))
-	if err != nil {
-		return nil, err
-	}
+	n := newDiehlCook(cfg, newLIFGroup(ExcConfig(cfg.NExc)), newLIFGroup(InhConfig(cfg.NInh)), 1)
+	n.W.RandFill(rand.New(rand.NewSource(cfg.Seed)), 0, 0.3)
+	n.NormalizeWeights()
+	return n, nil
+}
+
+// newDiehlCook assembles a network around the given layers with zero
+// weights, at rest.
+func newDiehlCook(cfg DiehlCookConfig, exc, inh *LIFGroup, driveScale float64) *DiehlCook {
 	n := &DiehlCook{
 		Cfg:             cfg,
 		W:               tensor.NewMatrix(cfg.NInput, cfg.NExc),
 		Exc:             exc,
 		Inh:             inh,
-		InputDriveScale: 1,
+		InputDriveScale: driveScale,
+		p:               Params{Exc: freezeGroup(exc), Inh: freezeGroup(inh)},
+		thetaDecay:      decayPer(exc.Cfg.Dt, exc.Cfg.ThetaDecayTC),
+		traceDecay:      decayPer(exc.Cfg.Dt, exc.Cfg.TraceTC),
 		preLastSpike:    make([]int, cfg.NInput),
 		preSeen:         make([]bool, cfg.NInput),
+		postTrace:       tensor.NewVector(cfg.NExc),
 		postSeen:        make([]bool, cfg.NExc),
 		dirtySeen:       make([]bool, cfg.NExc),
-		driveExc:        tensor.NewVector(cfg.NExc),
-		driveInh:        tensor.NewVector(cfg.NInh),
 	}
+	n.st.fit(&n.p)
 	preDecayTable(cfg.Steps + cfg.RestSteps) // pre-size for the presentation length
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n.W.RandFill(rng, 0, 0.3)
-	n.NormalizeWeights()
-	return n, nil
+	n.ResetState()
+	return n
 }
 
 // The pre-synaptic trace decay table is shared by every network in the
-// process: the decay constant is fixed, so decayPow[k] is the same
-// value everywhere, and campaign cells training in parallel would
-// otherwise each rebuild an identical table. Growth is copy-on-grow
-// behind a mutex with atomic publication — readers loaded an old table
-// keep a fully valid prefix, so concurrent lookups are race-free and
-// never observe a partially built entry.
+// process. Growth is copy-on-grow behind a mutex with atomic
+// publication, so concurrent lookups are race-free.
 var (
 	preDecayMu  sync.Mutex
 	preDecayTab atomic.Pointer[[]float64]
@@ -184,19 +163,14 @@ func preDecayTable(k int) []float64 {
 	}
 	preDecayMu.Lock()
 	defer preDecayMu.Unlock()
-	old := preDecayTab.Load()
-	if old != nil && len(*old) > k {
-		return *old
-	}
-	var prev []float64
-	if old != nil {
+	prev := []float64{1}
+	if old := preDecayTab.Load(); old != nil {
+		if len(*old) > k {
+			return *old
+		}
 		prev = *old
-	} else {
-		prev = []float64{1}
 	}
-	// Copy into a fresh slice: appending in place could republish
-	// memory a concurrent reader is still indexing.
-	next := make([]float64, k+1)
+	next := make([]float64, k+1) // never append in place: readers may hold prev
 	copy(next, prev)
 	for i := len(prev); i <= k; i++ {
 		next[i] = next[i-1] * preTraceDecayPerMs
@@ -206,24 +180,29 @@ func preDecayTable(k int) []float64 {
 }
 
 // NormalizeWeights rescales each excitatory neuron's afferent weights
-// to sum to Cfg.Norm (Diehl&Cook homeostasis, applied once per sample).
-// The full-matrix pass is correct regardless of how the weights were
-// modified (STDP, fault hooks, direct writes); TrainImageStream uses
-// the incremental dirty-column form instead.
+// to sum to Cfg.Norm (Diehl&Cook homeostasis, applied once per sample),
+// whatever modified them.
 func (n *DiehlCook) NormalizeWeights() {
 	n.W.NormalizeCols(n.Cfg.Norm)
 	n.clearDirty()
 }
 
 // normalizeDirty renormalizes only the columns STDP has touched since
-// the last normalization. Untouched columns still sum to (almost
-// exactly) Cfg.Norm from their previous normalization and are left
-// bit-for-bit alone, where a full pass would rescale them by a factor
-// within one ulp of 1. This per-column skip is the train-protocol-v3
-// normalization contract (see ProtocolVersion).
+// the last normalization; the others keep their bits, where a full
+// pass would rescale them by a factor within one ulp of 1 (the
+// train-protocol-v3 contract).
 func (n *DiehlCook) normalizeDirty() {
 	n.W.NormalizeColsSubset(n.Cfg.Norm, n.dirtyCols)
 	n.clearDirty()
+}
+
+func (n *DiehlCook) markDirty(cols []int) {
+	for _, j := range cols {
+		if !n.dirtySeen[j] {
+			n.dirtySeen[j] = true
+			n.dirtyCols = append(n.dirtyCols, j)
+		}
+	}
 }
 
 func (n *DiehlCook) clearDirty() {
@@ -234,30 +213,29 @@ func (n *DiehlCook) clearDirty() {
 }
 
 // ResetState clears per-image dynamic state (membranes, traces,
-// pending spikes, sparse trace supports) while keeping weights, theta,
-// and fault hooks.
+// pending spikes), keeping weights and theta, and loads the current
+// configuration, weights and fault hooks for the step.
 func (n *DiehlCook) ResetState() {
-	n.Exc.Reset()
-	n.Inh.Reset()
+	n.p.Cfg, n.p.W, n.p.InputDriveScale = n.Cfg, n.W, n.InputDriveScale
+	n.p.Exc.load(n.Exc)
+	n.p.Inh.load(n.Inh)
+	n.st.reset(&n.p)
 	for _, i := range n.preActive {
 		n.preSeen[i] = false
 	}
 	n.preActive = n.preActive[:0]
 	for _, j := range n.postActive {
+		n.postTrace[j] = 0
 		n.postSeen[j] = false
 	}
 	n.postActive = n.postActive[:0]
-	n.prevExc = n.prevExc[:0]
-	n.prevInh = n.prevInh[:0]
 	n.stepT = 0
 }
 
-// preTraceDecay is exp(−dt/20ms), matching the exc trace constant.
-const preTraceDecayPerMs = 0.951229424500714 // exp(-1/20)
+const preTraceDecayPerMs = 0.951229424500714 // exp(−dt/20ms), the exc trace constant
 
-// PreTrace returns the current pre-synaptic trace of pixel i: 0 if the
-// pixel has not spiked since the last ResetState, else the decayed
-// value of the 1 set at its most recent spike.
+// PreTrace returns the current pre-synaptic trace of pixel i (0 if it
+// has not spiked since the last ResetState).
 func (n *DiehlCook) PreTrace(i int) float64 {
 	if !n.preSeen[i] {
 		return 0
@@ -266,121 +244,31 @@ func (n *DiehlCook) PreTrace(i int) float64 {
 	return preDecayTable(d)[d]
 }
 
-// Step advances the network one timestep given the indices of input
-// pixels that spiked. When learn is true the input→exc weights are
-// updated with the post-pre STDP rule. It returns the excitatory spike
-// indices (valid until the next call).
+// Step advances the network one timestep given the input pixels that
+// spiked and returns the excitatory spike indices (valid until the
+// next call). Around the network step, theta decays and the thresholds
+// are rewritten; spikers then gain ThetaPlus and a post trace, and the
+// pixels' spike times are recorded. Theta adapts on every step; only
+// the STDP weight update is gated by learn.
 func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
-	cfg := &n.Cfg
+	n.Exc.adapt(n.p.Exc.EffThresh, n.thetaDecay)
+	excSpikes := n.p.step(&n.st, inputSpikes)
 
-	// 1. Synaptic drive onto the excitatory layer: feedforward input
-	// spikes (this step) plus lateral inhibition from last step's
-	// inhibitory spikes (one-step synaptic delay, as in BindsNET).
-	if s := n.InputDriveScale; s != 1 {
-		n.W.SumRowsScaled(inputSpikes, s, n.driveExc)
-	} else {
-		n.W.SumRows(inputSpikes, n.driveExc)
-	}
-	// Lateral inhibition in O(NExc): every neuron loses WInhExc per
-	// previous-step inhibitory spike except the spiker's own partner,
-	// so subtract the total once and add the self-coupling back. (The
-	// summation order differs from the per-spike loop at the ulp level;
-	// see the calibration record in EXPERIMENTS.md.)
-	if k := len(n.prevInh); k > 0 {
-		sub := float64(k) * cfg.WInhExc
-		d := n.driveExc
-		for i := range d {
-			d[i] -= sub
-		}
-		for _, j := range n.prevInh {
-			d[j] += cfg.WInhExc
-		}
-	}
-
-	// 2. Excitatory layer step. Newly spiked neurons join the sparse
-	// post-trace support before the STDP pass reads it (their trace was
-	// just set to 1).
-	excSpikes := n.Exc.Step(n.driveExc)
+	// Decay the post traces, then set the spikers' to 1 (so they join
+	// the support before STDP reads it).
+	theta, trace := n.Exc.Theta, n.postTrace
+	trace.ScatterScale(n.postActive, n.traceDecay)
 	for _, j := range excSpikes {
+		theta[j] += n.Exc.Cfg.ThetaPlus
+		trace[j] = 1
 		if !n.postSeen[j] {
 			n.postSeen[j] = true
 			n.postActive = append(n.postActive, j)
 		}
 	}
-
-	// 3. Inhibitory layer driven 1-to-1 by excitatory spikes from the
-	// previous step. With no pending spikes the drive is identically
-	// zero and the dense pass is skipped. (A sparse-drive merge-walk
-	// was tried here and lost: decayed membranes never return exactly
-	// to rest, so after the first winner-take-all volley most
-	// inhibitory neurons are permanently off the idle fast path and
-	// the branchy walk is slower than the 4-wide dense pass.)
-	var inhSpikes []int
-	if len(n.prevExc) > 0 {
-		n.driveInh.Zero()
-		for _, j := range n.prevExc {
-			n.driveInh[j] += cfg.WExcInh
-		}
-		inhSpikes = n.Inh.Step(n.driveInh)
-	} else {
-		inhSpikes = n.Inh.Step(nil)
-	}
-
-	// 4. STDP on input→exc (post-pre rule): a pre spike depresses by
-	// the post trace; a post spike potentiates by the pre trace. Both
-	// loops walk the sparse supports — exactly the synapses whose
-	// traces are nonzero — instead of full layers, with arithmetic
-	// identical to the dense rule per touched weight. Depression
-	// updates each spiked pixel's contiguous weight row; potentiation
-	// walks the spiking neuron's column at the active pixels, reading
-	// each pre trace from the decay table.
 	if learn {
-		// Mark the spikers' columns dirty for incremental normalization.
-		// Every column the two STDP loops below will ever touch belongs
-		// to a neuron in postActive, and postActive only grows via
-		// excSpikes — so marking spikes at learning steps covers the
-		// whole touched set by the time normalization runs.
-		for _, j := range excSpikes {
-			if !n.dirtySeen[j] {
-				n.dirtySeen[j] = true
-				n.dirtyCols = append(n.dirtyCols, j)
-			}
-		}
-		if len(n.postActive) > 0 {
-			nuPre := cfg.NuPre
-			trace := n.Exc.Trace
-			for _, i := range inputSpikes {
-				row := n.W.Row(i)
-				for _, j := range n.postActive {
-					w := row[j] - nuPre*trace[j]
-					if w < 0 {
-						w = 0
-					}
-					row[j] = w
-				}
-			}
-		}
-		if len(excSpikes) > 0 {
-			decayPow := preDecayTable(n.stepT)
-			wd, cols := n.W.Data, n.W.Cols
-			nuPost, wmax := cfg.NuPost, cfg.WMax
-			for _, j := range excSpikes {
-				for _, i := range n.preActive {
-					tr := decayPow[n.stepT-1-n.preLastSpike[i]]
-					w := wd[i*cols+j] + nuPost*tr
-					if w > wmax {
-						w = wmax
-					}
-					wd[i*cols+j] = w
-				}
-			}
-		}
+		n.stdp(inputSpikes, excSpikes)
 	}
-
-	// 5. Pre-synaptic trace update: record this step as the pixels'
-	// last spike time (the lazy image of "decay all traces, then set
-	// spiked pixels to 1"), extending the support with first-time
-	// spikers.
 	for _, i := range inputSpikes {
 		if !n.preSeen[i] {
 			n.preSeen[i] = true
@@ -389,87 +277,78 @@ func (n *DiehlCook) Step(inputSpikes []int, learn bool) []int {
 		n.preLastSpike[i] = n.stepT
 	}
 	n.stepT++
-
-	// 6. Remember this step's spikes for next step's delayed synapses.
-	n.prevExc = append(n.prevExc[:0], excSpikes...)
-	n.prevInh = append(n.prevInh[:0], inhSpikes...)
 	return excSpikes
 }
 
-// RunImage presents one encoded spike train (from encoding.Encode),
-// resetting state first, and returns the per-neuron excitatory spike
-// counts. Weight normalization runs before the presentation when
-// learning, as in the BindsNET training loop.
-func (n *DiehlCook) RunImage(train [][]int, learn bool) tensor.Vector {
-	if learn {
-		n.NormalizeWeights()
-	}
-	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
-	for _, step := range train {
-		for _, j := range n.Step(step, learn) {
-			counts[j]++
+// stdp applies the post-pre rule on input→exc: a pre spike depresses
+// by the post trace, a post spike potentiates by the pre trace. Both
+// loops walk the sparse supports, the synapses with nonzero traces.
+func (n *DiehlCook) stdp(inputSpikes, excSpikes []int) {
+	cfg := &n.Cfg
+	// Every column the loops below touch belongs to a neuron in
+	// postActive, which only grows via excSpikes.
+	n.markDirty(excSpikes)
+	if len(n.postActive) > 0 {
+		nuPre, trace := cfg.NuPre, n.postTrace
+		for _, i := range inputSpikes {
+			row := n.W.Row(i)
+			for _, j := range n.postActive {
+				w := row[j] - nuPre*trace[j]
+				if w < 0 {
+					w = 0
+				}
+				row[j] = w
+			}
 		}
 	}
-	n.rest(counts)
-	return counts
+	if len(excSpikes) > 0 {
+		decayPow := preDecayTable(n.stepT)
+		wd, cols := n.W.Data, n.W.Cols
+		nuPost, wmax := cfg.NuPost, cfg.WMax
+		for _, j := range excSpikes {
+			for _, i := range n.preActive {
+				tr := decayPow[n.stepT-1-n.preLastSpike[i]]
+				w := wd[i*cols+j] + nuPost*tr
+				if w > wmax {
+					w = wmax
+				}
+				wd[i*cols+j] = w
+			}
+		}
+	}
 }
 
-// RunImageStream presents one image of Cfg.Steps timesteps drawn from
-// next — called once per step, e.g. encoding.PoissonEncoder.EncodeStep
-// after Begin — so the full spike train is never materialized. For the
-// same random stream it is bit-identical to Encode+RunImage.
+// present runs one presentation through Step, with STDP on the driven
+// steps when learn is set, and returns the excitatory spike counts
+// (valid until the next presentation). Normalization is the caller's.
+func (n *DiehlCook) present(next func() []int, learn bool) tensor.Vector {
+	n.ResetState()
+	return present(&n.Cfg, n.st.counts, next, func(in []int, driven bool) []int {
+		return n.Step(in, learn && driven)
+	})
+}
+
+// RunImage presents one materialized spike train of Cfg.Steps steps
+// (from encoding.Encode): RunImageStream over its steps.
+func (n *DiehlCook) RunImage(train [][]int, learn bool) tensor.Vector {
+	return n.RunImageStream(func() []int { s := train[0]; train = train[1:]; return s }, learn)
+}
+
+// RunImageStream presents one image drawn from next (called once per
+// driven step, e.g. encoding.PoissonEncoder.EncodeStep) and returns
+// the excitatory spike counts, valid until the next presentation. When
+// learning, NormalizeWeights runs first, as in BindsNET.
 func (n *DiehlCook) RunImageStream(next func() []int, learn bool) tensor.Vector {
 	if learn {
 		n.NormalizeWeights()
 	}
-	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
-	for t := 0; t < n.Cfg.Steps; t++ {
-		for _, j := range n.Step(next(), learn) {
-			counts[j]++
-		}
-	}
-	n.rest(counts)
-	return counts
+	return n.present(next, learn)
 }
 
-// TrainImageStream presents one image of Cfg.Steps timesteps drawn
-// from next with learning enabled — RunImageStream(next, true) with the
-// per-image homeostatic normalization restricted to the weight columns
-// STDP touched since the last normalization (see normalizeDirty). This
-// is the training engine's fast path; it assumes nothing outside Step
-// has written W since the last normalization, so callers that mutate
-// weights directly (fault-injection hooks) must use RunImageStream,
-// which performs the full normalization.
+// TrainImageStream is RunImageStream(next, true) normalizing only the
+// columns STDP touched (see normalizeDirty); callers that write W
+// directly must use RunImageStream.
 func (n *DiehlCook) TrainImageStream(next func() []int) tensor.Vector {
 	n.normalizeDirty()
-	return n.presentLearn(next)
-}
-
-// presentLearn is one learning presentation without the homeostatic
-// normalization: ResetState, Cfg.Steps learning steps, rest. The
-// normalization policy is the caller's — TrainImageStream normalizes
-// the dirty columns first; the minibatch engine presents several
-// images against one normalization.
-func (n *DiehlCook) presentLearn(next func() []int) tensor.Vector {
-	n.ResetState()
-	counts := tensor.NewVector(n.Cfg.NExc)
-	for t := 0; t < n.Cfg.Steps; t++ {
-		for _, j := range n.Step(next(), true) {
-			counts[j]++
-		}
-	}
-	n.rest(counts)
-	return counts
-}
-
-// rest runs the quiet post-presentation steps, accumulating any
-// residual spikes into counts.
-func (n *DiehlCook) rest(counts tensor.Vector) {
-	for t := 0; t < n.Cfg.RestSteps; t++ {
-		for _, j := range n.Step(nil, false) {
-			counts[j]++
-		}
-	}
+	return n.present(next, true)
 }

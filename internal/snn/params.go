@@ -1,36 +1,13 @@
 package snn
 
-// Intra-cell parallel inference engine (see DESIGN.md "Intra-cell
-// inference engine").
-//
-// Training mutates a DiehlCook in place and is inherently serial — each
-// presentation's STDP depends on the weights the previous one left
-// behind. The read-only phases are not: the label-assignment pass after
-// training and every Evaluate present images against *frozen*
-// parameters, so images can run concurrently once two things hold:
-//
-//  1. Workers share parameters without sharing mutable state. Params is
-//     the immutable view of a trained network (weights by reference,
-//     effective thresholds and gains by copy); State is the cheap
-//     per-worker scratch (membranes, refractory counters, drive and
-//     spike buffers, a spike-count accumulator).
-//  2. Each image's spike train depends only on the image, not on the
-//     encoder position a serial loop happened to reach. Image i is
-//     encoded from ImageSeed(base, i) — runner.DeriveSeed over the
-//     cell's base seed and the image index — by parallel AND serial
-//     paths alike, which is what makes counts and accuracy
-//     bit-identical at any worker count.
-//
-// Frozen means frozen: a learn=false presentation updates no network
-// parameter at all. In particular the adaptive thresholds theta do not
-// accumulate or decay during inference (they are folded into
-// Params.EffThresh once), matching BindsNET's learning-gated theta
-// update — the previous serial Evaluate let theta drift across
-// evaluation images, coupling image i's result to images < i.
-//
-// States and their encoders are recycled through a package-level
-// sync.Pool across passes and campaign cells, so a full scenario
-// matrix stays allocation-flat in its read-only phases.
+// The network step and the parallel inference engine (see DESIGN.md
+// "Intra-cell inference engine"). Params.step advances a State against
+// Params. The read-only passes (label assignment, Evaluate) present
+// images against one frozen Params — theta and the fault hooks folded
+// in; theta neither adapts nor decays, as in BindsNET's learning-gated
+// update — with one pooled State per worker. Image i is encoded from
+// ImageSeed(base, i) on every path, so results are bit-identical at
+// any worker count.
 
 import (
 	"fmt"
@@ -45,136 +22,28 @@ import (
 )
 
 // ImageSeed derives the presentation seed of image i from a cell's
-// base encoder seed. Every presentation site — serial or parallel,
-// training or inference — encodes image i from this seed, so a spike
-// train depends only on (base, i), never on presentation order.
+// base encoder seed, so a spike train never depends on order.
 func ImageSeed(base int64, i int) int64 {
 	return runner.DeriveSeed(base, "image", i)
 }
 
-// GroupParams is the frozen per-layer view: static LIF constants plus
-// the per-neuron effective threshold and input gain with the adaptive
-// threshold and fault hooks folded in.
-type GroupParams struct {
-	N      int
-	Rest   float64
-	Reset  float64
-	Refrac int
-	decay  float64
-
-	// EffThresh[i] = (Thresh + Theta[i]) · ThreshScale[i], the firing
-	// threshold inference compares against (LIFGroup.EffectiveThreshold
-	// at freeze time).
-	EffThresh tensor.Vector
-	// Gain[i] multiplies neuron i's synaptic drive (the driver fault
-	// hook, frozen).
-	Gain tensor.Vector
-
-	// restSafe: no neuron can fire from rest (EffThresh[i] > Rest for
-	// all i), enabling the idle skip in the undriven step — the same
-	// fast path LIFGroup.Step uses, valid for the same reason.
-	restSafe bool
-}
-
-// freezeGroup snapshots a layer.
-func freezeGroup(g *LIFGroup) GroupParams {
-	cfg := g.Cfg
-	gp := GroupParams{
-		N: cfg.N, Rest: cfg.Rest, Reset: cfg.Reset, Refrac: cfg.Refrac,
-		decay:     g.decay,
-		EffThresh: tensor.NewVector(cfg.N),
-		Gain:      g.InputGain.Copy(),
-		restSafe:  true,
-	}
-	for i := 0; i < cfg.N; i++ {
-		gp.EffThresh[i] = g.EffectiveThreshold(i)
-		if gp.EffThresh[i] <= cfg.Rest {
-			gp.restSafe = false
-		}
-	}
-	return gp
-}
-
-// step advances one layer one timestep against per-worker state. It is
-// the learn=false image of LIFGroup.Step with theta and traces frozen:
-// same decay arithmetic, same refractory gating, same reset semantics,
-// with the threshold comparison against the precomputed EffThresh. A
-// nil drive takes the idle fast path (bit-identical to a zero drive).
-func (g *GroupParams) step(v tensor.Vector, refrac []int, drive tensor.Vector, scratch []int) []int {
-	scratch = scratch[:0]
-	rest := g.Rest
-	eff := g.EffThresh[:len(v)]
-
-	if drive != nil {
-		gain := g.Gain[:len(v)]
-		drive = drive[:len(v)]
-		// Same two-phase shape as LIFGroup.Step: a 4-wide membrane decay
-		// pass, then the branchy refractory/drive/spike pass reading the
-		// decayed potentials — bit-identical to the fused loop.
-		v.DecayToward(rest, g.decay)
-		for i := range v {
-			if refrac[i] > 0 {
-				refrac[i]--
-				continue
-			}
-			x := v[i] + drive[i]*gain[i]
-			if x >= eff[i] {
-				scratch = append(scratch, i)
-				x = g.Reset
-				refrac[i] = g.Refrac
-			}
-			v[i] = x
-		}
-		return scratch
-	}
-
-	idleSkip := g.restSafe
-	for i := range v {
-		x := v[i]
-		if idleSkip && x == rest && refrac[i] == 0 {
-			continue
-		}
-		if x != rest {
-			x = rest + (x-rest)*g.decay
-		}
-		if refrac[i] > 0 {
-			refrac[i]--
-			v[i] = x
-			continue
-		}
-		if x >= eff[i] {
-			scratch = append(scratch, i)
-			x = g.Reset
-			refrac[i] = g.Refrac
-		}
-		v[i] = x
-	}
-	return scratch
-}
-
-// Params is the immutable, shareable view of a trained DiehlCook
-// network: any number of evaluation workers may present images against
-// one Params concurrently, each with its own State. The weight matrix
-// is shared by reference (inference never writes it); thresholds,
-// gains and the drive scale are copied at freeze time, so reverting a
-// fault plan after training does not retroactively change the view.
+// Params is a network's parameters as the step reads them. A frozen
+// Params is shared by any number of workers, each with its own State:
+// the weights by reference (inference never writes them), thresholds,
+// gains and drive scale by copy, so reverting a fault plan after
+// training does not change the view.
 type Params struct {
-	Cfg DiehlCookConfig
-
-	// W is the trained input→exc weight matrix, shared read-only.
-	W *tensor.Matrix
-
-	// InputDriveScale is the frozen global driver corruption knob.
-	InputDriveScale float64
-
-	Exc GroupParams
-	Inh GroupParams
+	Cfg             DiehlCookConfig
+	W               *tensor.Matrix // input→exc weights
+	InputDriveScale float64        // global driver corruption knob
+	Exc, Inh        GroupParams
 }
 
 // Params freezes the network's current parameters into a shareable
-// inference view. The caller must not mutate the network's weights
-// while the view is in use (layer hooks and theta may change freely —
-// they were copied).
+// inference view, computing the thresholds from theta here (the
+// network's own EffThresh lags a spike's ThetaPlus by one step). The
+// caller must not mutate the network's weights while the view is in
+// use (layer hooks and theta may change freely — they were copied).
 func (n *DiehlCook) Params() *Params {
 	return &Params{
 		Cfg:             n.Cfg,
@@ -185,10 +54,8 @@ func (n *DiehlCook) Params() *Params {
 	}
 }
 
-// State is one evaluation worker's mutable scratch: everything a
-// presentation touches that is not a parameter. States are cheap
-// (a few vectors over the layer sizes), fully reset per image, and
-// recycled through the package workspace pool.
+// State is everything a presentation touches that is not a parameter:
+// a few vectors over the layer sizes, fully reset per image.
 type State struct {
 	vExc, vInh           tensor.Vector
 	refracExc, refracInh []int
@@ -199,41 +66,29 @@ type State struct {
 	enc                  *encoding.PoissonEncoder
 }
 
-// NewState allocates a worker state sized for p. Most callers should
-// use the pooled acquire/release pair instead; NewState is the
-// always-fresh path (and what the pool falls back to).
+// NewState allocates a worker state sized for p, with an encoder (the
+// pool's fallback; most callers use acquireState).
 func (p *Params) NewState() *State {
 	st := &State{enc: encoding.NewPoissonEncoder(0)}
 	st.fit(p)
 	return st
 }
 
-// fit (re)sizes the state for p, reusing slice capacity from previous
-// configurations so pooled states migrate between cells without
-// reallocating.
+// fit (re)sizes the state for p, reusing slice capacity so pooled
+// states migrate between cells without reallocating.
 func (st *State) fit(p *Params) {
-	st.vExc = resizeVec(st.vExc, p.Exc.N)
-	st.vInh = resizeVec(st.vInh, p.Inh.N)
-	st.driveExc = resizeVec(st.driveExc, p.Exc.N)
-	st.driveInh = resizeVec(st.driveInh, p.Inh.N)
-	st.counts = resizeVec(st.counts, p.Exc.N)
-	st.refracExc = resizeInts(st.refracExc, p.Exc.N)
-	st.refracInh = resizeInts(st.refracInh, p.Inh.N)
-	if st.enc == nil {
-		st.enc = encoding.NewPoissonEncoder(0)
-	}
+	st.vExc = resize(st.vExc, p.Exc.N)
+	st.vInh = resize(st.vInh, p.Inh.N)
+	st.driveExc = resize(st.driveExc, p.Exc.N)
+	st.driveInh = resize(st.driveInh, p.Inh.N)
+	st.counts = resize(st.counts, p.Exc.N)
+	st.refracExc = resize(st.refracExc, p.Exc.N)
+	st.refracInh = resize(st.refracInh, p.Inh.N)
 }
 
-func resizeVec(v tensor.Vector, n int) tensor.Vector {
-	if cap(v) < n {
-		return tensor.NewVector(n)
-	}
-	return v[:n]
-}
-
-func resizeInts(s []int, n int) []int {
+func resize[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make([]int, n)
+		return make(S, n)
 	}
 	return s[:n]
 }
@@ -243,20 +98,14 @@ func resizeInts(s []int, n int) []int {
 func (st *State) reset(p *Params) {
 	st.vExc.Fill(p.Exc.Rest)
 	st.vInh.Fill(p.Inh.Rest)
-	for i := range st.refracExc {
-		st.refracExc[i] = 0
-	}
-	for i := range st.refracInh {
-		st.refracInh[i] = 0
-	}
+	clear(st.refracExc)
+	clear(st.refracInh)
 	st.prevExc = st.prevExc[:0]
 	st.prevInh = st.prevInh[:0]
 }
 
-// workspacePool recycles States (with their embedded encoder
-// workspaces) across evaluation passes and campaign cells. sync.Pool
-// may drop entries under GC pressure — correctness never depends on a
-// hit, only allocation volume does.
+// workspacePool recycles States and their encoders across evaluation
+// passes and campaign cells; only allocation volume depends on a hit.
 var workspacePool sync.Pool
 
 // acquireState returns a ready state for p with its encoder configured
@@ -280,16 +129,21 @@ func acquireState(p *Params, maxRate, dt float64) *State {
 
 func releaseState(st *State) { workspacePool.Put(st) }
 
-// step advances the frozen network one timestep: feedforward drive
-// plus delayed lateral inhibition onto the excitatory layer, delayed
-// one-to-one excitation onto the inhibitory layer — the exact
-// DiehlCook.Step dataflow minus plasticity and adaptation.
+// step is the network step: it advances st one timestep given the
+// input pixels that spiked and returns the excitatory spike indices
+// (valid until the next step). The excitatory layer takes the input
+// drive plus lateral inhibition from the previous step's inhibitory
+// spikes (one-step synaptic delay, as in BindsNET); the inhibitory
+// layer takes the previous step's excitatory spikes one-to-one.
 func (p *Params) step(st *State, inputSpikes []int) []int {
 	if s := p.InputDriveScale; s != 1 {
 		p.W.SumRowsScaled(inputSpikes, s, st.driveExc)
 	} else {
 		p.W.SumRows(inputSpikes, st.driveExc)
 	}
+	// Lateral inhibition in O(NExc): subtract WInhExc per inhibitory
+	// spike from all, then add the spiker's own partner back (ulp-level
+	// reordering; see the calibration record in EXPERIMENTS.md).
 	if k := len(st.prevInh); k > 0 {
 		sub := float64(k) * p.Cfg.WInhExc
 		d := st.driveExc
@@ -302,6 +156,8 @@ func (p *Params) step(st *State, inputSpikes []int) []int {
 	}
 	st.spikeExc = p.Exc.step(st.vExc, st.refracExc, st.driveExc, st.spikeExc)
 
+	// With no pending excitatory spikes the inhibitory drive is
+	// identically zero and the layer takes the idle path.
 	if len(st.prevExc) > 0 {
 		st.driveInh.Zero()
 		for _, j := range st.prevExc {
@@ -317,60 +173,59 @@ func (p *Params) step(st *State, inputSpikes []int) []int {
 	return st.spikeExc
 }
 
-// presentImage runs one full presentation (Steps driven + RestSteps
-// quiet) of img under seed and returns st.counts, the per-neuron
-// excitatory spike counts. The returned vector is st's accumulator —
-// copy it to retain past the next presentation. Steady-state the call
-// allocates nothing.
+// present is the one presentation loop: Cfg.Steps steps driven by
+// next, then Cfg.RestSteps quiet ones, each run through step, counting
+// excitatory spikes into counts (zeroed first, and returned).
+func present(cfg *DiehlCookConfig, counts tensor.Vector, next func() []int, step func(in []int, driven bool) []int) tensor.Vector {
+	counts.Zero()
+	for t := 0; t < cfg.Steps+cfg.RestSteps; t++ {
+		var in []int
+		driven := t < cfg.Steps
+		if driven {
+			in = next()
+		}
+		for _, j := range step(in, driven) {
+			counts[j]++
+		}
+	}
+	return counts
+}
+
+// presentImage runs one frozen presentation of img under seed and
+// returns st.counts (copy it to retain). It allocates nothing.
 func (p *Params) presentImage(st *State, img *mnist.Image, seed int64) tensor.Vector {
 	st.reset(p)
 	st.enc.Reseed(seed)
 	st.enc.Begin(img)
-	st.counts.Zero()
-	for t := 0; t < p.Cfg.Steps; t++ {
-		for _, j := range p.step(st, st.enc.EncodeStep()) {
-			st.counts[j]++
-		}
-	}
-	for t := 0; t < p.Cfg.RestSteps; t++ {
-		for _, j := range p.step(st, nil) {
-			st.counts[j]++
-		}
-	}
-	return st.counts
+	return present(&p.Cfg, st.counts, st.enc.EncodeStep, func(in []int, _ bool) []int {
+		return p.step(st, in)
+	})
 }
 
 // EvalOptions configures a read-only presentation pass.
 type EvalOptions struct {
-	// Workers is the evaluation pool width; ≤0 uses all CPUs. Results
-	// are bit-identical at every width.
-	Workers int
-	// Seed is the cell's base encoder seed; image i is presented from
-	// ImageSeed(Seed, i).
-	Seed int64
+	Workers int   // pool width; ≤0 uses all CPUs
+	Seed    int64 // base encoder seed; image i uses ImageSeed(Seed, i)
 	// MaxRate and Dt configure the Poisson encoding; zero values select
 	// the experiment defaults (128 Hz, 1 ms).
 	MaxRate float64
 	Dt      float64
-	// Obs, when non-nil, receives the evaluation pool's telemetry under
-	// "snn.eval.*" (per-shard run/wait histograms, job counters,
-	// utilization). Purely observational: results are bit-identical
-	// with or without it.
+	// Obs, when non-nil, receives the pool's "snn.eval.*" telemetry;
+	// results are identical with or without it.
 	Obs *obs.Registry
 }
 
-// evalShard is how many consecutive images one pool job presents. The
-// shard size trades scheduling overhead against load balance; it does
-// not affect results (each image is independently seeded).
+// evalShard is how many consecutive images one pool job presents: a
+// trade of scheduling overhead against load balance that does not
+// affect results.
 const evalShard = 8
 
-// shardJobs builds one runner job per contiguous image shard. run is
-// called with a ready workspace, an image index and that image's
-// presentation seed, and returns the image's contribution to the
-// shard result. Seeds are derived once up front — DeriveSeed reflects
-// over its discriminators, and hoisting it keeps the per-image loop
-// allocation-free.
-func shardJobs[T any](p *Params, images []mnist.Image, opt EvalOptions, run func(st *State, i int, seed int64) T) []runner.Job[[]T] {
+// evalPass presents every image against p on opt.Workers workers, in
+// shards of evalShard images, and returns run's per-image results in
+// image order. run gets a ready State, the image index and that
+// image's seed; seeds are derived up front, which keeps the per-image
+// loop allocation-free.
+func evalPass[T any](p *Params, images []mnist.Image, opt EvalOptions, run func(st *State, i int, seed int64) T) ([]T, error) {
 	seeds := make([]int64, len(images))
 	for i := range seeds {
 		seeds[i] = ImageSeed(opt.Seed, i)
@@ -391,12 +246,6 @@ func shardJobs[T any](p *Params, images []mnist.Image, opt EvalOptions, run func
 			},
 		})
 	}
-	return jobs
-}
-
-// runShards executes the shard jobs and flattens results back into
-// image order.
-func runShards[T any](opt EvalOptions, jobs []runner.Job[[]T], total int) ([]T, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -406,7 +255,7 @@ func runShards[T any](opt EvalOptions, jobs []runner.Job[[]T], total int) ([]T, 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]T, 0, total)
+	out := make([]T, 0, len(images))
 	for _, s := range shards {
 		out = append(out, s...)
 	}
@@ -414,32 +263,27 @@ func runShards[T any](opt EvalOptions, jobs []runner.Job[[]T], total int) ([]T, 
 }
 
 // CountsParallel presents every image read-only against p and returns
-// the per-image excitatory spike counts, in image order — the parallel
-// label-assignment kernel. Counts are bit-identical at any worker
-// count (and to the serial path, which is the same kernel at width 1).
+// the per-image excitatory spike counts, in image order.
 func CountsParallel(p *Params, images []mnist.Image, opt EvalOptions) ([]tensor.Vector, error) {
-	jobs := shardJobs(p, images, opt, func(st *State, i int, seed int64) tensor.Vector {
+	return evalPass(p, images, opt, func(st *State, i int, seed int64) tensor.Vector {
 		return p.presentImage(st, &images[i], seed).Copy()
 	})
-	return runShards(opt, jobs, len(images))
 }
 
 // EvaluateParallel presents every image read-only against p, classifies
 // each with the given neuron→class assignments, and returns the
-// fraction classified correctly. Unlike CountsParallel it keeps no
-// per-image counts, so a full evaluation pass is allocation-flat.
+// fraction classified correctly, keeping no per-image counts.
 func EvaluateParallel(p *Params, images []mnist.Image, assignments []int, opt EvalOptions) (float64, error) {
 	if len(images) == 0 {
 		return 0, fmt.Errorf("snn: no evaluation images")
 	}
-	jobs := shardJobs(p, images, opt, func(st *State, i int, seed int64) int {
+	correct, err := evalPass(p, images, opt, func(st *State, i int, seed int64) int {
 		counts := p.presentImage(st, &images[i], seed)
 		if Classify(counts, assignments) == int(images[i].Label) {
 			return 1
 		}
 		return 0
 	})
-	correct, err := runShards(opt, jobs, len(images))
 	if err != nil {
 		return 0, err
 	}

@@ -11,13 +11,40 @@ import (
 	"snnfi/internal/tensor"
 )
 
-func excGroup(t *testing.T, n int) *LIFGroup {
+// lifHarness runs one group the way a learning network runs its
+// excitatory layer: theta adaptation around the shared LIF update.
+type lifHarness struct {
+	g      *LIFGroup
+	gp     GroupParams
+	v      tensor.Vector
+	refrac []int
+	spikes []int
+}
+
+func newLIFHarness(t *testing.T, cfg LIFConfig) *lifHarness {
 	t.Helper()
-	g, err := NewLIFGroup(ExcConfig(n))
+	g, err := NewLIFGroup(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	h := &lifHarness{g: g, gp: freezeGroup(g), v: tensor.NewVector(cfg.N), refrac: make([]int, cfg.N)}
+	h.v.Fill(cfg.Rest)
+	return h
+}
+
+func excGroup(t *testing.T, n int) *lifHarness {
+	t.Helper()
+	return newLIFHarness(t, ExcConfig(n))
+}
+
+// step advances the group one timestep; a nil drive is the idle step.
+func (h *lifHarness) step(drive tensor.Vector) []int {
+	h.g.adapt(h.gp.EffThresh, decayPer(h.g.Cfg.Dt, h.g.Cfg.ThetaDecayTC))
+	h.spikes = h.gp.step(h.v, h.refrac, drive, h.spikes)
+	for _, j := range h.spikes {
+		h.g.Theta[j] += h.g.Cfg.ThetaPlus
+	}
+	return h.spikes
 }
 
 func TestLIFConfigValidation(t *testing.T) {
@@ -38,11 +65,11 @@ func TestLIFConfigValidation(t *testing.T) {
 }
 
 func TestLIFIntegratesAndFires(t *testing.T) {
-	g := excGroup(t, 1)
+	h := excGroup(t, 1)
 	drive := tensor.Vector{3} // mV per step against a 13 mV threshold gap
 	fired := false
 	for step := 0; step < 50; step++ {
-		if len(g.Step(drive)) > 0 {
+		if len(h.step(drive)) > 0 {
 			fired = true
 			break
 		}
@@ -50,26 +77,26 @@ func TestLIFIntegratesAndFires(t *testing.T) {
 	if !fired {
 		t.Fatal("neuron never fired under steady suprathreshold drive")
 	}
-	if g.V[0] != g.Cfg.Reset {
-		t.Fatalf("post-spike potential %v, want reset %v", g.V[0], g.Cfg.Reset)
+	if h.v[0] != h.g.Cfg.Reset {
+		t.Fatalf("post-spike potential %v, want reset %v", h.v[0], h.g.Cfg.Reset)
 	}
 }
 
 func TestLIFStaysQuietWithoutDrive(t *testing.T) {
-	g := excGroup(t, 3)
+	h := excGroup(t, 3)
 	for step := 0; step < 200; step++ {
-		if len(g.Step(nil)) != 0 {
+		if len(h.step(nil)) != 0 {
 			t.Fatal("spontaneous spike with no drive")
 		}
 	}
 }
 
 func TestLIFRefractoryBlocksInput(t *testing.T) {
-	g := excGroup(t, 1)
+	h := excGroup(t, 1)
 	drive := tensor.Vector{20}
 	var spikes []int
 	for step := 0; step < 12; step++ {
-		spikes = append(spikes, len(g.Step(drive)))
+		spikes = append(spikes, len(h.step(drive)))
 	}
 	// With Refrac=5 and overwhelming drive, spikes must be ≥5 steps apart.
 	last := -10
@@ -77,37 +104,37 @@ func TestLIFRefractoryBlocksInput(t *testing.T) {
 		if s == 0 {
 			continue
 		}
-		if i-last <= g.Cfg.Refrac {
-			t.Fatalf("spikes %d steps apart, refractory is %d", i-last, g.Cfg.Refrac)
+		if i-last <= h.g.Cfg.Refrac {
+			t.Fatalf("spikes %d steps apart, refractory is %d", i-last, h.g.Cfg.Refrac)
 		}
 		last = i
 	}
 }
 
 func TestLIFThetaAdaptation(t *testing.T) {
-	g := excGroup(t, 1)
+	h := excGroup(t, 1)
 	drive := tensor.Vector{20}
 	for step := 0; step < 30; step++ {
-		g.Step(drive)
+		h.step(drive)
 	}
-	if g.Theta[0] <= 0 {
+	if h.g.Theta[0] <= 0 {
 		t.Fatal("theta should accumulate with spiking")
 	}
 	// Each spike adds exactly ThetaPlus (decay is negligible at 1e7 ms).
-	spikes := math.Round(g.Theta[0] / g.Cfg.ThetaPlus)
+	spikes := math.Round(h.g.Theta[0] / h.g.Cfg.ThetaPlus)
 	if spikes < 3 {
 		t.Fatalf("implausible spike count from theta: %v", spikes)
 	}
 }
 
 func TestLIFMembraneDecaysTowardRest(t *testing.T) {
-	g := excGroup(t, 1)
-	g.V[0] = g.Cfg.Rest + 10
-	g.Step(nil)
-	if g.V[0] >= g.Cfg.Rest+10 {
+	h := excGroup(t, 1)
+	h.v[0] = h.g.Cfg.Rest + 10
+	h.step(nil)
+	if h.v[0] >= h.g.Cfg.Rest+10 {
 		t.Fatal("membrane should decay toward rest")
 	}
-	if g.V[0] <= g.Cfg.Rest {
+	if h.v[0] <= h.g.Cfg.Rest {
 		t.Fatal("membrane should not undershoot rest")
 	}
 }
@@ -115,7 +142,7 @@ func TestLIFMembraneDecaysTowardRest(t *testing.T) {
 func TestThreshScaleConvention(t *testing.T) {
 	// The fault hook scales the threshold VALUE (negative voltage), so a
 	// scale of 0.8 ("−20%" in the paper) RAISES the firing threshold.
-	g := excGroup(t, 2)
+	g := excGroup(t, 2).g
 	g.ThreshScale[1] = 0.8
 	t0 := g.EffectiveThreshold(0)
 	t1 := g.EffectiveThreshold(1)
@@ -129,31 +156,43 @@ func TestThreshScaleConvention(t *testing.T) {
 }
 
 func TestInputGainScalesDrive(t *testing.T) {
-	g := excGroup(t, 2)
-	g.InputGain[0] = 0.5
-	g.Step(tensor.Vector{4, 4})
-	if !(g.V[0] < g.V[1]) {
-		t.Fatalf("gain 0.5 should integrate less: %v vs %v", g.V[0], g.V[1])
+	h := excGroup(t, 2)
+	h.g.InputGain[0] = 0.5
+	h.gp.load(h.g)
+	h.step(tensor.Vector{4, 4})
+	if !(h.v[0] < h.v[1]) {
+		t.Fatalf("gain 0.5 should integrate less: %v vs %v", h.v[0], h.v[1])
 	}
 }
 
+// TestGroupResetSemantics: the per-image ResetState restores membranes
+// and traces but keeps learned theta.
 func TestGroupResetSemantics(t *testing.T) {
-	g := excGroup(t, 1)
-	drive := tensor.Vector{20}
-	for i := 0; i < 20; i++ {
-		g.Step(drive)
+	n, err := NewDiehlCook(smallConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	theta := g.Theta[0]
-	g.Reset()
-	if g.V[0] != g.Cfg.Rest {
-		t.Fatal("Reset must restore rest potential")
+	active := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for i := 0; i < 60; i++ {
+		n.Step(active, false)
 	}
-	if g.Theta[0] != theta {
-		t.Fatal("Reset must keep learned theta")
+	theta := n.Exc.Theta.Copy()
+	if theta.Sum() == 0 || len(n.postActive) == 0 {
+		t.Fatal("no excitatory spikes; the reset check is vacuous")
 	}
-	g.HardReset()
-	if g.Theta[0] != 0 {
-		t.Fatal("HardReset must clear theta")
+	n.ResetState()
+	for i, v := range n.st.vExc {
+		if v != n.Exc.Cfg.Rest || n.st.refracExc[i] != 0 {
+			t.Fatalf("neuron %d: ResetState left v=%v refrac=%d", i, v, n.st.refracExc[i])
+		}
+	}
+	if n.postTrace.Sum() != 0 || len(n.postActive) != 0 {
+		t.Fatal("ResetState must clear the post traces")
+	}
+	for j := range theta {
+		if n.Exc.Theta[j] != theta[j] {
+			t.Fatal("ResetState must keep learned theta")
+		}
 	}
 }
 
@@ -364,17 +403,14 @@ func TestAssignLabelsSilentNeuron(t *testing.T) {
 func TestThetaAccountingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := NewLIFGroup(ExcConfig(1))
-		if err != nil {
-			return false
-		}
+		h := excGroup(t, 1)
 		spikes := 0
 		for step := 0; step < 100; step++ {
 			d := tensor.Vector{rng.Float64() * 10}
-			spikes += len(g.Step(d))
+			spikes += len(h.step(d))
 		}
-		want := float64(spikes) * g.Cfg.ThetaPlus
-		return math.Abs(g.Theta[0]-want) < 0.01*want+1e-9
+		want := float64(spikes) * h.g.Cfg.ThetaPlus
+		return math.Abs(h.g.Theta[0]-want) < 0.01*want+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -386,18 +422,15 @@ func TestThetaAccountingProperty(t *testing.T) {
 func TestSpikeImpliesResetProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := NewLIFGroup(InhConfig(4))
-		if err != nil {
-			return false
-		}
+		h := newLIFHarness(t, InhConfig(4))
 		for step := 0; step < 200; step++ {
 			d := tensor.NewVector(4)
 			for i := range d {
 				d[i] = rng.Float64() * 30
 			}
-			spiked := g.Step(d)
+			spiked := h.step(d)
 			for _, j := range spiked {
-				if g.V[j] != g.Cfg.Reset {
+				if h.v[j] != h.g.Cfg.Reset {
 					return false
 				}
 			}

@@ -11,23 +11,15 @@ import (
 
 // ProtocolVersion names the training/evaluation semantics trained
 // results depend on, and belongs in every cache key that stores them
-// (core experiment fingerprints, cmd/snn-train's result cache). Bump
-// it whenever a change alters what a trained result contains — v2 was
-// the intra-cell engine's per-image seeding and frozen-network
-// assignment pass; v3 is the training-pass engine: the geometric
-// skip-sampling encoder (one RNG draw per spike instead of per pixel
-// per step; encoding.SkipSampling), dirty-column homeostatic
-// normalization (untouched columns keep their previous bits instead of
-// rescaling by ≈1), and minibatch STDP (TrainOptions.Batch) — so stale
-// caches miss instead of serving values computed under older
-// semantics.
+// (core experiment fingerprints, cmd/snn-train's result cache), so
+// stale caches miss. Bump it whenever a trained result would change.
+// v2 brought per-image seeding and the frozen assignment pass; v3 the
+// skip-sampling encoder, dirty-column normalization (untouched columns
+// keep their bits) and minibatch STDP.
 const ProtocolVersion = "train-protocol-v3"
 
-// TrainResult summarizes a training run: per-neuron class assignments,
-// classification accuracy over the presented images, and activity
-// statistics useful for diagnosing attacks. PerImage, TotalSpikes,
-// Assignments and Accuracy all come from the read-only assignment pass
-// over the frozen trained network (see TrainWith).
+// TrainResult summarizes a training run. Every field comes from the
+// read-only assignment pass over the frozen trained network.
 type TrainResult struct {
 	Assignments []int   // neuron → class (−1 for never-active neurons)
 	Accuracy    float64 // fraction of images classified correctly
@@ -38,66 +30,48 @@ type TrainResult struct {
 
 // TrainOptions configures TrainWith beyond its data arguments.
 type TrainOptions struct {
-	// BeforeImage, when non-nil, runs before image i is encoded and
-	// presented in the learning pass. Fault-injection campaigns use it
-	// to corrupt network parameters mid-training (e.g. re-applying
-	// synaptic drift every N images) without duplicating the
-	// training/labeling/scoring loop.
+	// BeforeImage, when non-nil, runs before image i is presented in
+	// the learning pass, e.g. to re-apply a fault to the parameters
+	// every N images.
 	BeforeImage func(i int)
 	// Batch is the STDP minibatch size. ≤1 (the default) is the serial
-	// protocol: normalize, present, update, image by image. Batch > 1
-	// presents each group of Batch consecutive images against the same
-	// frozen weights and adaptive thresholds (normalized once per
-	// batch), computes each image's weight and theta updates
-	// independently — in parallel on the training pool — and merges
-	// them in image order (see trainMinibatch). Different Batch values
-	// are different training semantics and produce different results;
-	// for a fixed Batch the result is bit-identical at every worker
-	// count and scheduling order. Ignored (forced serial) when
-	// BeforeImage is set: fault hooks mutate parameters mid-pass, which
-	// has no coherent frozen-batch meaning.
+	// protocol. Batch > 1 presents each group of Batch images against
+	// the same frozen weights and thresholds, in parallel, and merges
+	// their updates in image order (see trainMinibatch): a different
+	// result for each Batch, bit-identical at every worker count.
+	// Ignored when BeforeImage is set, since mid-pass fault hooks have
+	// no frozen-batch meaning.
 	Batch int
-	// Workers sizes the minibatch training pool (when Batch > 1) and
-	// the read-only assignment pass; ≤0 uses all CPUs. Results are
-	// bit-identical at every width.
+	// Workers sizes the minibatch pool and the assignment pass; ≤0
+	// uses all CPUs. Results are bit-identical at every width.
 	Workers int
-	// Obs, when non-nil, records phase spans: "snn.stdp" (the serial
-	// learning pass) and "snn.assign" (the parallel assignment pass),
-	// plus the assignment pool's "snn.eval.*" metrics. Observation
-	// only — trained results are identical with or without it.
+	// Obs, when non-nil, records the "snn.stdp" (learning) and
+	// "snn.assign" (assignment) spans plus the pools' metrics. Results
+	// are identical with or without it.
 	Obs *obs.Registry
 	// OnProgress, when non-nil, observes each learning-pass image as
-	// (done, total) — the serial counterpart of the pool's progress
-	// stream, for live training status.
+	// (done, total).
 	OnProgress func(done, total int)
 }
 
-// Train presents the images once (the paper iterates training samples
-// once), learning with STDP, then assigns each excitatory neuron the
-// class for which it spiked most ("all activity" labeling) and scores
-// classification accuracy over the same presentations — the paper's
-// protocol: "all experiments are conducted on 1000 Poisson-encoded
-// training images", with accuracy measured on those images.
+// Train presents the images once, learning with STDP, then labels each
+// excitatory neuron with the class it spiked most for and scores the
+// same images — the paper's protocol ("all experiments are conducted
+// on 1000 Poisson-encoded training images").
 func Train(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder) (*TrainResult, error) {
 	return TrainWith(n, images, enc, TrainOptions{})
 }
 
-// TrainWith runs the two-pass protocol of the intra-cell engine:
+// TrainWith runs the two-pass protocol:
 //
-//  1. Learning pass, serial (STDP is order-dependent): each image is
-//     presented with plasticity on, encoded from its per-image seed
-//     ImageSeed(enc.Seed(), i).
-//  2. Assignment pass, parallel: the same images are re-presented from
-//     the same per-image seeds against the frozen trained parameters
-//     (learn=false, theta folded into the effective thresholds), on
-//     opt.Workers evaluation workers. The resulting counts drive
-//     labeling and scoring, so the reported accuracy is a property of
-//     the finished network rather than of its mid-training trajectory.
+//  1. Learning pass, serial or minibatched: image i is presented with
+//     plasticity on, encoded from ImageSeed(enc.Seed(), i).
+//  2. Assignment pass, parallel: the same images and seeds against the
+//     frozen trained network. Its counts drive labeling and scoring,
+//     so accuracy is a property of the finished network.
 //
-// The encoder supplies the base seed and rate configuration; its base
-// seed is restored on return (the per-image reseeding is internal), so
-// a subsequent Evaluate with the same encoder derives its presentation
-// seeds from the original base.
+// The encoder supplies the base seed and rates; its base seed is
+// restored on return.
 func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, opt TrainOptions) (*TrainResult, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("snn: no training images")
@@ -105,35 +79,28 @@ func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder,
 	base := enc.Seed()
 	defer enc.Reseed(base)
 	stdp := obs.Span(opt.Obs, "snn.stdp")
-	switch {
-	case opt.BeforeImage != nil:
-		// Fault hooks may write W directly between presentations, which
-		// the dirty-column tracking cannot see — keep the full
-		// normalize-every-image protocol (and serial order, which a
-		// mid-pass mutation implicitly depends on).
-		for i := range images {
-			opt.BeforeImage(i)
-			enc.Reseed(ImageSeed(base, i))
-			enc.Begin(&images[i])
-			n.RunImageStream(enc.EncodeStep, true)
-			if opt.OnProgress != nil {
-				opt.OnProgress(i+1, len(images))
-			}
-		}
-	case opt.Batch > 1:
-		// One full normalization opens the pass: whatever wrote W since
-		// the last normalization (fresh init, fault setup) predates the
-		// dirty tracking.
+	if opt.Batch > 1 && opt.BeforeImage == nil {
+		// Whatever wrote W before the pass predates the dirty tracking.
 		n.NormalizeWeights()
 		if err := trainMinibatch(n, images, enc, opt); err != nil {
 			return nil, err
 		}
-	default:
-		n.NormalizeWeights()
+	} else {
 		for i := range images {
+			// Fault hooks may write W directly, which the dirty-column
+			// tracking cannot see: after them, and on the first image,
+			// normalize in full.
+			if opt.BeforeImage != nil {
+				opt.BeforeImage(i)
+			}
+			if opt.BeforeImage != nil || i == 0 {
+				n.NormalizeWeights()
+			} else {
+				n.normalizeDirty()
+			}
 			enc.Reseed(ImageSeed(base, i))
 			enc.Begin(&images[i])
-			n.TrainImageStream(enc.EncodeStep)
+			n.present(enc.EncodeStep, true)
 			if opt.OnProgress != nil {
 				opt.OnProgress(i+1, len(images))
 			}
@@ -170,10 +137,8 @@ func TrainWith(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder,
 }
 
 // Evaluate presents images without learning and scores them against
-// existing assignments. It is the serial entry point of the inference
-// engine — the same kernel and per-image seeding as EvaluateParallel
-// at width 1, so its result is bit-identical to any parallel run with
-// the same base seed.
+// existing assignments: EvaluateParallel at width 1, bit-identical to
+// any parallel run with the same base seed.
 func Evaluate(n *DiehlCook, images []mnist.Image, enc *encoding.PoissonEncoder, assignments []int) (float64, error) {
 	return EvaluateParallel(n.Params(), images, assignments, EvalOptions{
 		Workers: 1, Seed: enc.Seed(), MaxRate: enc.MaxRate, Dt: enc.Dt,
