@@ -15,12 +15,9 @@
 //	cached -dir store -addr 0.0.0.0:8475       # fixed address
 //	cached -dir store -addr-file store.addr    # write the bound address (CI/scripts)
 //
-// Long-lived campaign service: POST a suite JSON to /campaign and poll
-// GET /campaign/{id} for live present/missing progress against the
-// store manifest; GET /campaign/{id}/cells serves the sweep points
-// already computed. GET /metrics exports the obs registry (request
-// counters, per-tier cache counters, request-duration histograms);
-// GET /healthz reports liveness and the store protocol version.
+// GET /metrics exports the obs registry (request counters, per-tier
+// cache counters, request-duration histograms); GET /healthz reports
+// liveness and the store protocol version.
 package main
 
 import (
@@ -49,7 +46,6 @@ func run() error {
 		dir      = flag.String("dir", "store", "store directory (per-tier subdirectories, the -cache-dir layout)")
 		addr     = flag.String("addr", "127.0.0.1:0", "listen address (port 0 = pick a free port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts that cannot race a fixed port)")
-		dataDir  = flag.String("data", "", "optional real-MNIST directory for campaign audits (must match what workers train from)")
 		quiet    = flag.Bool("quiet", false, "suppress the startup line")
 	)
 	flag.Parse()
@@ -59,7 +55,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv.DataDir = *dataDir
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -19,10 +19,11 @@
 //	wait
 //	snn-attack  -store http://$(cat store.addr) -attack 3 -change -20,-10,10,20 -jsonl merged.jsonl
 //
-// The shared attack-free baseline is elected, not raced: shard 0
-// trains it when missing; other shards poll the store until it
-// appears (bounded by -baseline-wait, after which they train it
-// themselves — wasted work, never wrong results).
+// Every shard that runs cells trains a missing attack-free baseline
+// itself: training is deterministic, so the copies are byte-identical,
+// and waiting for another shard's copy would cost more wall-clock than
+// the duplicate. Shard 0 trains it even when its own shard is empty,
+// so the coordinator always finds it in the store.
 package main
 
 import (
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"time"
 
 	"snnfi/internal/cli"
 	"snnfi/internal/core"
@@ -49,11 +49,10 @@ func main() {
 
 func run() (retErr error) {
 	var (
-		nImages      = flag.Int("n", 1000, "training images")
-		dataDir      = flag.String("data", "", "optional real-MNIST directory")
-		shards       = flag.Int("shards", 1, "total number of worker processes over this scenario")
-		shard        = flag.Int("shard", 0, "this process's shard index (0-based)")
-		baselineWait = flag.Duration("baseline-wait", 10*time.Minute, "how long a non-zero shard waits for shard 0's baseline before training its own")
+		nImages = flag.Int("n", 1000, "training images")
+		dataDir = flag.String("data", "", "optional real-MNIST directory")
+		shards  = flag.Int("shards", 1, "total number of worker processes over this scenario")
+		shard   = flag.Int("shard", 0, "this process's shard index (0-based)")
 	)
 	attackFlags := cli.AddAttackFlags(flag.CommandLine)
 	shared := cli.AddFlags(cli.Worker)
@@ -104,7 +103,6 @@ func run() (retErr error) {
 	if err != nil {
 		return err
 	}
-	baseline := audit.Cells[0]
 	var missing []string
 	for _, c := range audit.Cells[1:] {
 		if !c.Present {
@@ -115,16 +113,12 @@ func run() (retErr error) {
 	fmt.Printf("shard %d/%d: %d of %d missing cells assigned (%d already in store)\n",
 		*shard, *shards, len(mine), len(missing), audit.Present)
 
-	// Baseline election: exactly one shard trains the shared baseline,
-	// the rest read it from the store. Shard 0 trains it eagerly even
-	// when its shard is otherwise empty — someone must.
-	if !baseline.Present {
-		if *shard == 0 {
-			if _, err := exp.Baseline(); err != nil {
-				return err
-			}
-		} else if err := awaitKey(store, baseline.Key, *baselineWait); err != nil {
-			fmt.Fprintf(os.Stderr, "snn-worker: %v; training the baseline locally\n", err)
+	// Shard 0 trains a missing baseline even when its shard is
+	// otherwise empty — someone must. Other shards train their own copy
+	// when they run cells (RunScenarioSubset scores against it).
+	if *shard == 0 && !audit.Cells[0].Present {
+		if _, err := exp.Baseline(); err != nil {
+			return err
 		}
 	}
 
@@ -141,25 +135,4 @@ func run() (retErr error) {
 	fmt.Printf("executed cells: %d\n", len(pts))
 	fmt.Printf("trained networks: %d\n", exp.TrainCount())
 	return nil
-}
-
-// awaitKey polls the store manifest until key appears or the wait
-// budget runs out. Polling the manifest (not Get) keeps the typed
-// cache's hit/miss accounting clean. The caller treats exhaustion as
-// "train it yourself": with -baseline-wait 0 a shard skips the
-// election entirely and duplicates the (deterministic, byte-identical)
-// baseline on its own cores — the right trade when cores are free and
-// wall-clock is the goal.
-func awaitKey(store *runner.HTTPCache[*core.Result], key string, wait time.Duration) error {
-	deadline := time.Now().Add(wait)
-	for {
-		keys, err := store.Manifest()
-		if err == nil && slices.Contains(keys, key) {
-			return nil
-		}
-		if !time.Now().Before(deadline) {
-			return fmt.Errorf("baseline %s… not in store after %v", key[:12], wait)
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
 }

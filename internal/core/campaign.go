@@ -11,7 +11,6 @@ import (
 	"snnfi/internal/obs"
 	"snnfi/internal/runner"
 	"snnfi/internal/snn"
-	"snnfi/internal/xfer"
 )
 
 // Experiment fixes the data, network configuration and random seeds for
@@ -297,8 +296,8 @@ func (c campaignJob) key(e *Experiment) string {
 }
 
 // campaignMeta shapes the streamed records of one campaign: its sweep
-// label, whether cells carry grid coordinates (ad-hoc plan lists do
-// not, and zeroes would misreport them), and whether the campaign is a
+// label, whether cells carry grid coordinates (extension specs do not,
+// and zeroes would misreport them), and whether the campaign is a
 // scenario matrix whose records carry the defense column and detector
 // verdict.
 type campaignMeta struct {
@@ -348,16 +347,12 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 			Key:   c.key(e),
 			Run: func() (*Result, error) {
 				// The pool already missed the cache for this key, so
-				// compute without a second lookup (a nil plan is the
-				// memoized baseline).
+				// compute without a second lookup.
 				var r *Result
 				var err error
-				switch {
-				case c.train != nil:
+				if c.train != nil {
 					r, err = e.scoreTrained(c.plan, c.train, evalWorkers)
-				case c.plan == nil:
-					r, err = e.baselineResult()
-				default:
+				} else {
 					r, err = e.runUncached(c.plan, evalWorkers)
 				}
 				if err != nil {
@@ -398,8 +393,8 @@ func (e *Experiment) runCampaign(meta campaignMeta, cells []campaignJob) ([]Swee
 }
 
 // sweepRecord renders one sweep point for the streaming sinks. The
-// coordinate fields are included only for real sweeps — ad-hoc plan
-// lists have no grid coordinates, and zeroes would misreport them —
+// coordinate fields are included only for real sweeps — extension
+// specs have no grid coordinates, and zeroes would misreport them —
 // and the defense/detector fields only for scenario matrices, so
 // plain sweeps keep their established record schema.
 func sweepRecord(meta campaignMeta, p SweepPoint, r *Result) runner.Record {
@@ -434,68 +429,6 @@ func sweepRecord(meta campaignMeta, p SweepPoint, r *Result) runner.Record {
 		rec = append(rec, runner.Field{Name: "detected", Value: p.Detected})
 	}
 	return rec
-}
-
-// RunPlans evaluates several fault plans through the worker pool and
-// returns one result per plan, in input order. A nil plan stands for
-// the attack-free baseline, as in Run.
-func (e *Experiment) RunPlans(plans []*FaultPlan) ([]*Result, error) {
-	pts, err := e.RunScenario(&Scenario{Name: "plans", Plans: plans})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(pts))
-	for i, p := range pts {
-		out[i] = p.Result
-	}
-	return out, nil
-}
-
-// Attack1Sweep reproduces Fig. 7b: classification accuracy versus theta
-// (per-input-spike membrane charge) change.
-func (e *Experiment) Attack1Sweep(changesPc []float64) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack1-theta",
-		Attack: Attack1,
-		Axes:   Axes{ChangesPc: changesPc},
-	})
-}
-
-// LayerGrid reproduces Figs. 8a/8b: accuracy over threshold change ×
-// fraction-of-layer for one layer (Excitatory → Attack 2, Inhibitory →
-// Attack 3).
-func (e *Experiment) LayerGrid(layer Layer, changesPc, fractionsPc []float64) ([]SweepPoint, error) {
-	attack := Attack2
-	if layer == Inhibitory {
-		attack = Attack3
-	} else if layer != Excitatory {
-		return nil, fmt.Errorf("core: layer grid needs a neuron layer, got %v", layer)
-	}
-	return e.RunScenario(&Scenario{
-		Name:   fmt.Sprintf("layer-grid-%v", layer),
-		Attack: attack,
-		Axes:   Axes{ChangesPc: changesPc, FractionsPc: fractionsPc},
-	})
-}
-
-// Attack4Sweep reproduces Fig. 8c: accuracy versus threshold change
-// with both layers fully affected.
-func (e *Experiment) Attack4Sweep(changesPc []float64) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack4-both-layers",
-		Attack: Attack4,
-		Axes:   Axes{ChangesPc: changesPc},
-	})
-}
-
-// Attack5Sweep reproduces Fig. 9a: accuracy versus VDD for the whole
-// shared-supply system.
-func (e *Experiment) Attack5Sweep(vdds []float64, kind xfer.NeuronKind) ([]SweepPoint, error) {
-	return e.RunScenario(&Scenario{
-		Name:   "attack5-vdd",
-		Attack: Attack5,
-		Axes:   Axes{VDDs: vdds, Kind: kind},
-	})
 }
 
 // WorstCase returns the sweep point with the most negative relative

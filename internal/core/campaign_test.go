@@ -25,6 +25,17 @@ func tinyExperiment(t *testing.T, nImages int) *Experiment {
 	return e
 }
 
+// layerGrid runs the Fig. 8a/8b grid — threshold change × layer
+// coverage — on one neuron layer: Attack2 (excitatory) or Attack3
+// (inhibitory).
+func layerGrid(e *Experiment, attack AttackID, changesPc, fractionsPc []float64) ([]SweepPoint, error) {
+	return e.RunScenario(&Scenario{
+		Name:   "layer-grid",
+		Attack: attack,
+		Axes:   Axes{ChangesPc: changesPc, FractionsPc: fractionsPc},
+	})
+}
+
 func samePoints(t *testing.T, workers int, got, want []SweepPoint) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -68,7 +79,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		sink := runner.NewJSONLSink(&buf)
 		e.Sinks = []runner.Sink{sink}
 
-		pts, err := e.LayerGrid(Inhibitory, changes, fractions)
+		pts, err := layerGrid(e, Attack3, changes, fractions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +107,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestSweepBaselineTrainsOnce(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	e.Workers = 4
-	pts, err := e.LayerGrid(Excitatory, []float64{-20, 20}, []float64{50, 100})
+	pts, err := layerGrid(e, Attack2, []float64{-20, 20}, []float64{50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +115,7 @@ func TestSweepBaselineTrainsOnce(t *testing.T) {
 	if got := e.TrainCount(); got != wantTrains {
 		t.Fatalf("first sweep trained %d networks, want %d (cells + baseline once)", got, wantTrains)
 	}
-	again, err := e.LayerGrid(Excitatory, []float64{-20, 20}, []float64{50, 100})
+	again, err := layerGrid(e, Attack2, []float64{-20, 20}, []float64{50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,30 +125,6 @@ func TestSweepBaselineTrainsOnce(t *testing.T) {
 	samePoints(t, 4, again, pts)
 	if hits, _ := e.Cache.(*runner.MemoryCache[*Result]).Stats(); hits < int64(len(pts)) {
 		t.Fatalf("cache hits = %d, want ≥%d", hits, len(pts))
-	}
-}
-
-// TestRunPlansOrdered routes ad-hoc plan lists (cmd/snn-attack,
-// examples/defense-eval) through the pool and keeps input order.
-func TestRunPlansOrdered(t *testing.T) {
-	e := tinyExperiment(t, 40)
-	e.Workers = 3
-	plans := []*FaultPlan{
-		NewAttack1(1.2),
-		NewAttack3(0.8, 1, 1),
-		NewAttack4(0.9),
-	}
-	results, err := e.RunPlans(plans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(plans) {
-		t.Fatalf("%d results for %d plans", len(results), len(plans))
-	}
-	for i, r := range results {
-		if r.Plan.Name != plans[i].Name {
-			t.Fatalf("result %d is %q, want %q", i, r.Plan.Name, plans[i].Name)
-		}
 	}
 }
 
@@ -169,7 +156,7 @@ func TestRunIsCached(t *testing.T) {
 }
 
 // TestLayerGridParallelSpeedup is the wall-clock acceptance bar: with
-// ≥4 workers a LayerGrid sweep runs ≥2× faster than serial while
+// ≥4 workers a layer-grid sweep runs ≥2× faster than serial while
 // producing identical results. Training is CPU-bound, so the test
 // needs real cores; on smaller machines the sleep-bound equivalent in
 // internal/runner still enforces the pool's concurrency.
@@ -190,7 +177,7 @@ func TestLayerGridParallelSpeedup(t *testing.T) {
 	e.Cache = runner.NewMemoryCache[*Result]()
 	e.Workers = 1
 	start := time.Now()
-	serialPts, err := e.LayerGrid(Inhibitory, changes, fractions)
+	serialPts, err := layerGrid(e, Attack3, changes, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +186,7 @@ func TestLayerGridParallelSpeedup(t *testing.T) {
 	e.Cache = runner.NewMemoryCache[*Result]()
 	e.Workers = 4
 	start = time.Now()
-	parallelPts, err := e.LayerGrid(Inhibitory, changes, fractions)
+	parallelPts, err := layerGrid(e, Attack3, changes, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}

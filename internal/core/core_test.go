@@ -280,13 +280,6 @@ func TestWorstCaseEmpty(t *testing.T) {
 	}
 }
 
-func TestLayerGridRejectsDrivers(t *testing.T) {
-	e := testExperiment(t, 10)
-	if _, err := e.LayerGrid(Drivers, []float64{-10}, []float64{100}); err == nil {
-		t.Fatal("LayerGrid must reject the driver pseudo-layer")
-	}
-}
-
 // Property: Apply followed by revert leaves the fault hooks exactly
 // nominal for arbitrary valid plans.
 func TestApplyRevertRoundTripProperty(t *testing.T) {

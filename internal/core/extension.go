@@ -117,60 +117,6 @@ func (e *Experiment) RunWeightFaults(specs []WeightFaultSpec) ([]*Result, error)
 	return e.runExtension("ext-weight-fault", cells)
 }
 
-// WeightFaultHardening is a Hardening that additionally knows how to
-// defend extension weight-fault cells: HardenWeightFault returns the
-// spec that results when the same physical drift hits the hardened
-// synapse array (e.g. defense.WeightRefresh's periodic reprogramming
-// from the digital shadow copy).
-type WeightFaultHardening interface {
-	Hardening
-	HardenWeightFault(WeightFaultSpec) WeightFaultSpec
-}
-
-// RunWeightFaultMatrix replays each weight-fault spec undefended and
-// against every listed defense — the extension analogue of a scenario
-// matrix. All cells share one pool run, one baseline and one ordered
-// sink stream; records carry the defense column. Every defense must
-// implement WeightFaultHardening (a plain plan Hardening has no
-// meaning for a corruption that is not a FaultPlan).
-func (e *Experiment) RunWeightFaultMatrix(specs []WeightFaultSpec, defenses []Hardening) ([]SweepPoint, error) {
-	var cells []campaignJob
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		cells = append(cells, s.cell(e))
-		for _, d := range defenses {
-			wh, ok := d.(WeightFaultHardening)
-			if !ok {
-				if d == nil {
-					return nil, fmt.Errorf("core: weight-fault matrix defense list contains nil")
-				}
-				return nil, fmt.Errorf("core: defense %q cannot harden weight-fault cells", d.Name())
-			}
-			hs := wh.HardenWeightFault(s)
-			if err := hs.Validate(); err != nil {
-				return nil, fmt.Errorf("core: defense %q hardened spec invalid: %w", d.Name(), err)
-			}
-			cell := hs.cell(e)
-			cell.point.Defense = d.Name()
-			cell.desc = fmt.Sprintf("%s [%s]", cell.desc, d.Name())
-			cells = append(cells, cell)
-		}
-	}
-	return e.runCampaign(campaignMeta{name: "ext-weight-fault", matrix: len(defenses) > 0}, cells)
-}
-
-// RunWeightFault trains a fresh network while injecting the weight
-// fault and returns the result relative to the experiment baseline.
-func (e *Experiment) RunWeightFault(spec WeightFaultSpec) (*Result, error) {
-	res, err := e.RunWeightFaults([]WeightFaultSpec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // LearningRateFaultSpec corrupts the STDP learning rates — the
 // network-level image of a supply fault in the weight-programming
 // peripheral (programming pulse energy scales with VDD).
@@ -219,59 +165,6 @@ func (e *Experiment) RunLearningRateFaults(specs []LearningRateFaultSpec) ([]*Re
 		cells[i] = s.cell(e)
 	}
 	return e.runExtension("ext-learning-rate", cells)
-}
-
-// LearningRateFaultHardening is a Hardening that additionally knows
-// how to defend extension learning-rate cells: HardenLearningRateFault
-// returns the spec that results when the same supply fault hits the
-// hardened weight-programming peripheral (e.g. a regulator that holds
-// the programming pulse energy near nominal).
-type LearningRateFaultHardening interface {
-	Hardening
-	HardenLearningRateFault(LearningRateFaultSpec) LearningRateFaultSpec
-}
-
-// RunLearningRateFaultMatrix replays each learning-rate spec
-// undefended and against every listed defense — the extension analogue
-// of a scenario matrix, mirroring RunWeightFaultMatrix. All cells
-// share one pool run, one baseline and one ordered sink stream;
-// records carry the defense column. Every defense must implement
-// LearningRateFaultHardening.
-func (e *Experiment) RunLearningRateFaultMatrix(specs []LearningRateFaultSpec, defenses []Hardening) ([]SweepPoint, error) {
-	var cells []campaignJob
-	for _, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, err
-		}
-		cells = append(cells, s.cell(e))
-		for _, d := range defenses {
-			lh, ok := d.(LearningRateFaultHardening)
-			if !ok {
-				if d == nil {
-					return nil, fmt.Errorf("core: learning-rate matrix defense list contains nil")
-				}
-				return nil, fmt.Errorf("core: defense %q cannot harden learning-rate cells", d.Name())
-			}
-			hs := lh.HardenLearningRateFault(s)
-			if err := hs.Validate(); err != nil {
-				return nil, fmt.Errorf("core: defense %q hardened spec invalid: %w", d.Name(), err)
-			}
-			cell := hs.cell(e)
-			cell.point.Defense = d.Name()
-			cell.desc = fmt.Sprintf("%s [%s]", cell.desc, d.Name())
-			cells = append(cells, cell)
-		}
-	}
-	return e.runCampaign(campaignMeta{name: "ext-learning-rate", matrix: len(defenses) > 0}, cells)
-}
-
-// RunLearningRateFault trains with scaled STDP rates.
-func (e *Experiment) RunLearningRateFault(spec LearningRateFaultSpec) (*Result, error) {
-	res, err := e.RunLearningRateFaults([]LearningRateFaultSpec{spec})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 // runExtension executes extension cells like any campaign and returns

@@ -4,6 +4,27 @@ import (
 	"testing"
 )
 
+// runWeightFault runs one weight-fault cell through the campaign pool.
+func runWeightFault(t *testing.T, e *Experiment, spec WeightFaultSpec) *Result {
+	t.Helper()
+	res, err := e.RunWeightFaults([]WeightFaultSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
+// runLearningRateFault runs one learning-rate-fault cell through the
+// campaign pool.
+func runLearningRateFault(t *testing.T, e *Experiment, spec LearningRateFaultSpec) *Result {
+	t.Helper()
+	res, err := e.RunLearningRateFaults([]LearningRateFaultSpec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
 func TestWeightFaultSpecValidation(t *testing.T) {
 	if err := (WeightFaultSpec{Scale: 0, Fraction: 0.5}).Validate(); err == nil {
 		t.Fatal("zero scale must fail")
@@ -32,10 +53,7 @@ func TestWeightFaultOneShotMild(t *testing.T) {
 	// A one-shot pre-training drift is absorbed by STDP + normalization:
 	// the fault hits random initial weights that learning overwrites.
 	e := testExperiment(t, 200)
-	res, err := e.RunWeightFault(WeightFaultSpec{Scale: 0.7, Fraction: 0.3, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runWeightFault(t, e, WeightFaultSpec{Scale: 0.7, Fraction: 0.3, Seed: 5})
 	if res.RelChangePc < -35 {
 		t.Fatalf("one-shot weight drift degraded %+.1f%%, expected mild", res.RelChangePc)
 	}
@@ -43,14 +61,8 @@ func TestWeightFaultOneShotMild(t *testing.T) {
 
 func TestWeightFaultPersistentWorseThanOneShot(t *testing.T) {
 	e := testExperiment(t, 200)
-	once, err := e.RunWeightFault(WeightFaultSpec{Scale: 0.5, Fraction: 0.5, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	persistent, err := e.RunWeightFault(WeightFaultSpec{Scale: 0.5, Fraction: 0.5, EveryNImages: 10, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	once := runWeightFault(t, e, WeightFaultSpec{Scale: 0.5, Fraction: 0.5, Seed: 5})
+	persistent := runWeightFault(t, e, WeightFaultSpec{Scale: 0.5, Fraction: 0.5, EveryNImages: 10, Seed: 5})
 	// Re-applied drift keeps destroying what STDP learns; it must not do
 	// better than the one-shot upset (generous margin for seed noise).
 	if persistent.RelChangePc > once.RelChangePc+10 {
@@ -63,10 +75,7 @@ func TestLearningRateFreezeDegrades(t *testing.T) {
 	// Freezing STDP entirely leaves random weights: accuracy must fall
 	// well below the trained baseline.
 	e := testExperiment(t, 200)
-	res, err := e.RunLearningRateFault(LearningRateFaultSpec{Scale: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runLearningRateFault(t, e, LearningRateFaultSpec{Scale: 0})
 	if res.RelChangePc > -20 {
 		t.Fatalf("frozen learning degraded only %+.1f%%, expected substantial loss", res.RelChangePc)
 	}
@@ -74,10 +83,7 @@ func TestLearningRateFreezeDegrades(t *testing.T) {
 
 func TestLearningRateNominalIsNoOp(t *testing.T) {
 	e := testExperiment(t, 200)
-	res, err := e.RunLearningRateFault(LearningRateFaultSpec{Scale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runLearningRateFault(t, e, LearningRateFaultSpec{Scale: 1})
 	if res.RelChangePc != 0 {
 		t.Fatalf("scale 1 must reproduce the baseline exactly, got %+.2f%%", res.RelChangePc)
 	}

@@ -79,12 +79,8 @@ type Scenario struct {
 	// Name labels records ("sweep" field); empty derives it from the
 	// attack family.
 	Name string
-	// Attack selects the swept family (Attack1 … Attack5). Zero means
-	// the scenario enumerates explicit Plans instead.
+	// Attack selects the swept family (Attack1 … Attack5).
 	Attack AttackID
-	// Plans are ad-hoc cells for attack-less scenarios (the RunPlans
-	// path); a nil plan stands for the attack-free baseline.
-	Plans []*FaultPlan
 	// Axes spans the attack family's coordinate grid.
 	Axes Axes
 	// Defenses are the hardened replays. The undefended column is
@@ -98,14 +94,9 @@ type Scenario struct {
 
 // Validate reports specification errors.
 func (s *Scenario) Validate() error {
-	if s.Attack == 0 && len(s.Plans) == 0 {
-		return fmt.Errorf("core: scenario needs an attack family or explicit plans")
-	}
-	if s.Attack != 0 && len(s.Plans) > 0 {
-		return fmt.Errorf("core: scenario cannot mix an attack family with explicit plans")
-	}
 	switch s.Attack {
-	case 0: // explicit plans
+	case 0:
+		return fmt.Errorf("core: scenario needs an attack family (Attack1 … Attack5)")
 	case Attack1, Attack2, Attack3, Attack4:
 		if len(s.Axes.ChangesPc) == 0 {
 			return fmt.Errorf("core: scenario %v needs Axes.ChangesPc", s.Attack)
@@ -146,9 +137,6 @@ func (s *Scenario) name() string {
 	if s.Name != "" {
 		return s.Name
 	}
-	if s.Attack == 0 {
-		return "plans"
-	}
 	return s.Attack.String()
 }
 
@@ -165,14 +153,6 @@ func (s *Scenario) baseCells() []campaignJob {
 	}
 	var cells []campaignJob
 	switch s.Attack {
-	case 0:
-		for _, p := range s.Plans {
-			desc := "plan (baseline)"
-			if p != nil {
-				desc = fmt.Sprintf("plan %q", p.Name)
-			}
-			cells = append(cells, campaignJob{plan: p, desc: desc})
-		}
 	case Attack1:
 		for _, c := range s.Axes.ChangesPc {
 			cells = append(cells, campaignJob{
@@ -237,7 +217,7 @@ func (s *Scenario) baseCells() []campaignJob {
 func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 	meta := campaignMeta{
 		name:      s.name(),
-		coords:    s.Attack != 0,
+		coords:    true,
 		matrix:    len(s.Defenses) > 0 || s.Detector != nil,
 		variation: s.Axes.Variation != nil,
 	}
@@ -270,9 +250,7 @@ func (s *Scenario) compile() ([]campaignJob, campaignMeta, error) {
 		for _, d := range s.Defenses {
 			cell := b
 			cell.point.Defense = d.Name()
-			if b.plan != nil {
-				cell.plan = d.Harden(b.plan)
-			}
+			cell.plan = d.Harden(b.plan)
 			cell.desc = fmt.Sprintf("%s [%s]", b.desc, d.Name())
 			cells = append(cells, cell)
 		}
@@ -321,20 +299,4 @@ func (e *Experiment) RunScenarioSubset(s *Scenario, keep func(index int, key str
 		}
 	}
 	return e.runCampaign(meta, kept)
-}
-
-// ScenarioKeys returns the content addresses of every cell the
-// scenario compiles to, in compile order — the keys a disk cache will
-// be probed with. Campaign tooling uses it to audit which cells of a
-// resumable campaign are already on disk.
-func (e *Experiment) ScenarioKeys(s *Scenario) ([]string, error) {
-	cells, _, err := s.compile()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = c.key(e)
-	}
-	return keys, nil
 }

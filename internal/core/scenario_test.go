@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -45,7 +47,6 @@ func TestScenarioValidate(t *testing.T) {
 		s    Scenario
 	}{
 		{"empty", Scenario{}},
-		{"attack and plans", Scenario{Attack: Attack1, Plans: []*FaultPlan{nil}, Axes: Axes{ChangesPc: []float64{1}}}},
 		{"attack1 without changes", Scenario{Attack: Attack1}},
 		{"attack5 without vdds", Scenario{Attack: Attack5}},
 		{"unknown attack", Scenario{Attack: AttackID(9), Axes: Axes{ChangesPc: []float64{1}}}},
@@ -55,6 +56,9 @@ func TestScenarioValidate(t *testing.T) {
 		if err := c.s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid scenario", c.name)
 		}
+	}
+	if err := (&Scenario{}).Validate(); !strings.Contains(err.Error(), "attack family") {
+		t.Errorf("zero attack error %q does not name the missing attack family", err)
 	}
 	ok := Scenario{Attack: Attack2, Axes: Axes{ChangesPc: []float64{-20}}}
 	if err := ok.Validate(); err != nil {
@@ -99,18 +103,6 @@ func TestScenarioCompileDeterministic(t *testing.T) {
 			t.Fatalf("cell %d (%s) reuses a content address", i, a[i].desc)
 		}
 		seen[a[i].key(e)] = true
-	}
-	keys, err := e.ScenarioKeys(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != wantCells {
-		t.Fatalf("ScenarioKeys returned %d keys, want %d", len(keys), wantCells)
-	}
-	for i, k := range keys {
-		if k != a[i].key(e) {
-			t.Fatalf("ScenarioKeys[%d] disagrees with compile", i)
-		}
 	}
 }
 
@@ -174,15 +166,20 @@ func TestScenarioMatrixDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAttack1SweepGoldenRecords pins the pre-scenario record schema of
-// the compatibility sweeps: same field names, same order, no matrix
-// fields, values matching the returned points.
+// TestAttack1SweepGoldenRecords pins the record schema of a plain
+// (undefended, detector-free) sweep — the Fig. 7b attack 1 theta sweep:
+// same field names, same order, no matrix fields, values matching the
+// returned points.
 func TestAttack1SweepGoldenRecords(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	var buf bytes.Buffer
 	sink := runner.NewJSONLSink(&buf)
 	e.Sinks = []runner.Sink{sink}
-	pts, err := e.Attack1Sweep([]float64{-20, 20})
+	pts, err := e.RunScenario(&Scenario{
+		Name:   "attack1-theta",
+		Attack: Attack1,
+		Axes:   Axes{ChangesPc: []float64{-20, 20}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +222,7 @@ func TestLayerGridEquivalentToDirectRuns(t *testing.T) {
 	e := tinyExperiment(t, 40)
 	changes := []float64{-20, 10}
 	fractions := []float64{50, 100}
-	pts, err := e.LayerGrid(Excitatory, changes, fractions)
+	pts, err := layerGrid(e, Attack2, changes, fractions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +269,7 @@ func TestColdProcessResume(t *testing.T) {
 	dir := t.TempDir()
 	e1, disk1 := tieredExperiment(t, 40, dir)
 	e1.Workers = 4
-	first, err := e1.LayerGrid(Inhibitory, []float64{-20}, []float64{50, 100})
+	first, err := layerGrid(e1, Attack3, []float64{-20}, []float64{50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +285,7 @@ func TestColdProcessResume(t *testing.T) {
 	// cells must come back without training.
 	e2, _ := tieredExperiment(t, 40, dir)
 	e2.Workers = 4
-	second, err := e2.LayerGrid(Inhibitory, []float64{-20, 10}, []float64{50, 100})
+	second, err := layerGrid(e2, Attack3, []float64{-20, 10}, []float64{50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +297,7 @@ func TestColdProcessResume(t *testing.T) {
 	// Third process, identical campaign: everything is on disk.
 	e3, _ := tieredExperiment(t, 40, dir)
 	e3.Workers = 4
-	third, err := e3.LayerGrid(Inhibitory, []float64{-20, 10}, []float64{50, 100})
+	third, err := layerGrid(e3, Attack3, []float64{-20, 10}, []float64{50, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +305,44 @@ func TestColdProcessResume(t *testing.T) {
 		t.Fatalf("fully-warm process trained %d networks, want 0", got)
 	}
 	samePoints(t, 4, third, second)
+}
+
+// TestNullCellsRecompute: cache cells holding a JSON null (a store that
+// accepted one, a damaged disk) are misses, not nil results — a warm
+// run over them recomputes the cold run's exact bytes.
+func TestNullCellsRecompute(t *testing.T) {
+	dir := t.TempDir()
+	s := &Scenario{Attack: Attack3, Axes: Axes{ChangesPc: []float64{-20, 10}}}
+	run := func() ([]byte, int64) {
+		e, _ := tieredExperiment(t, 20, dir)
+		var buf bytes.Buffer
+		sink := runner.NewJSONLSink(&buf)
+		e.Sinks = []runner.Sink{sink}
+		if _, err := e.RunScenario(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), e.TrainCount()
+	}
+	cold, coldTrains := run()
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) != 3 { // baseline + 2 cells
+		t.Fatalf("cold run left %d cell files (%v), want 3", len(files), err)
+	}
+	for _, f := range files {
+		if err := os.WriteFile(f, []byte("null"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, warmTrains := run()
+	if warmTrains != coldTrains {
+		t.Fatalf("warm run over null cells trained %d networks, want %d", warmTrains, coldTrains)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatalf("recomputed records differ from the cold run:\n%s\nvs\n%s", warm, cold)
+	}
 }
 
 // TestExtensionFaultsPooledAndCached is the extension port's contract:
@@ -323,30 +358,18 @@ func TestExtensionFaultsPooledAndCached(t *testing.T) {
 
 	wspec := WeightFaultSpec{Scale: 0.7, Fraction: 0.5, EveryNImages: 10, Seed: 11}
 	lspec := LearningRateFaultSpec{Scale: 0.5}
-	w1, err := e.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w1 := runWeightFault(t, e, wspec)
 	if got := e.TrainCount(); got != 2 { // baseline + fault cell
 		t.Fatalf("weight fault accounted %d trains, want 2", got)
 	}
-	l1, err := e.RunLearningRateFault(lspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := runLearningRateFault(t, e, lspec)
 	if got := e.TrainCount(); got != 3 {
 		t.Fatalf("learning-rate fault accounted %d trains, want 3", got)
 	}
 
 	// Repeated extension runs retrain zero times.
-	w2, err := e.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := e.RunLearningRateFault(lspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := runWeightFault(t, e, wspec)
+	l2 := runLearningRateFault(t, e, lspec)
 	if got := e.TrainCount(); got != 3 {
 		t.Fatalf("repeated extension runs retrained %d networks, want 0", got-3)
 	}
@@ -355,9 +378,7 @@ func TestExtensionFaultsPooledAndCached(t *testing.T) {
 	}
 
 	// A distinct cadence is a distinct content address.
-	if _, err := e.RunWeightFault(WeightFaultSpec{Scale: 0.7, Fraction: 0.5, EveryNImages: 20, Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
+	runWeightFault(t, e, WeightFaultSpec{Scale: 0.7, Fraction: 0.5, EveryNImages: 20, Seed: 11})
 	if got := e.TrainCount(); got != 4 {
 		t.Fatalf("distinct cadence trained %d networks, want 1 more", got-3)
 	}
@@ -372,10 +393,7 @@ func TestExtensionFaultsPooledAndCached(t *testing.T) {
 
 	// Cold-process resume covers extensions too.
 	e2, _ := tieredExperiment(t, 40, dir)
-	w3, err := e2.RunWeightFault(wspec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w3 := runWeightFault(t, e2, wspec)
 	if got := e2.TrainCount(); got != 0 {
 		t.Fatalf("warm-disk extension run trained %d networks, want 0", got)
 	}
@@ -483,13 +501,13 @@ func TestAuditScenario(t *testing.T) {
 		t.Fatal("audit trained networks")
 	}
 	// The audit keys are the very keys the campaign would probe.
-	keys, err := e.ScenarioKeys(s)
+	cells, _, err := s.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
-		if full.Cells[i+1].Key != k { // +1: audit leads with the baseline
-			t.Fatalf("audit key %d disagrees with ScenarioKeys", i)
+	for i, c := range cells {
+		if full.Cells[i+1].Key != c.key(e) { // +1: audit leads with the baseline
+			t.Fatalf("audit key %d disagrees with the compiled cell", i)
 		}
 	}
 }

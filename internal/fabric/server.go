@@ -1,9 +1,9 @@
 // Package fabric is the server side of the distributed campaign
 // fabric: an HTTP content store over DiskCache tiers (the wire format
-// runner.HTTPCache speaks, runner.StoreProtocol) plus a thin campaign
-// service that audits suite progress against the store — the
-// north-star shape where cold campaigns fan out across worker
-// processes and warm ones are cache-hit reads at web latency.
+// runner.HTTPCache speaks, runner.StoreProtocol) and the round-robin
+// shard partition workers use to split a campaign — cold campaigns fan
+// out across worker processes and warm ones are cache-hit reads at web
+// latency.
 //
 // The store holds content-addressed result cells: the key is a
 // runner.KeyOf digest of everything that determines the value, so
@@ -14,6 +14,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,21 +31,15 @@ import (
 var tierPat = regexp.MustCompile(`^[a-z0-9_-]{1,32}$`)
 
 // Server serves one store directory (per-tier DiskCache
-// subdirectories, the exact -cache-dir layout) and the campaign
-// service. Create with NewServer, mount via Handler.
+// subdirectories, the exact -cache-dir layout). Create with NewServer,
+// mount via Handler.
 type Server struct {
 	dir string
 	reg *obs.Registry
 	mux *http.ServeMux
 
-	mu        sync.Mutex
-	tiers     map[string]*tier
-	campaigns map[string]*campaign
-
-	// DataDir optionally points campaign audits at a real-MNIST
-	// directory; it must match what the workers train from, or the
-	// fingerprints (and so every key) disagree.
-	DataDir string
+	mu    sync.Mutex
+	tiers map[string]*tier
 }
 
 // tier wraps one DiskCache with a put lock: PUTs are serialized per
@@ -61,25 +56,17 @@ type tier struct {
 // backs /metrics and the per-tier cache counters; nil disables
 // telemetry but keeps every route working.
 func NewServer(dir string, reg *obs.Registry) (*Server, error) {
-	s := &Server{
-		dir:       dir,
-		reg:       reg,
-		tiers:     map[string]*tier{},
-		campaigns: map[string]*campaign{},
-	}
+	s := &Server{dir: dir, reg: reg, tiers: map[string]*tier{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /cell/{tier}/{key}", s.handleGetCell)
 	mux.HandleFunc("PUT /cell/{tier}/{key}", s.handlePutCell)
 	mux.HandleFunc("GET /manifest/{tier}", s.handleManifest)
-	mux.HandleFunc("POST /campaign", s.handlePostCampaign)
-	mux.HandleFunc("GET /campaign/{id}", s.handleGetCampaign)
-	mux.HandleFunc("GET /campaign/{id}/cells", s.handleCampaignCells)
 	s.mux = mux
 	// Seed the request counters so /metrics shows the full shape from
 	// the first scrape.
-	for _, n := range []string{"store.gets", "store.puts", "store.manifests", "store.campaigns"} {
+	for _, n := range []string{"store.gets", "store.puts", "store.manifests"} {
 		reg.Counter(n)
 	}
 	return s, nil
@@ -87,9 +74,6 @@ func NewServer(dir string, reg *obs.Registry) (*Server, error) {
 
 // Handler returns the store's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Dir returns the store's root directory.
-func (s *Server) Dir() string { return s.dir }
 
 // tier returns (creating if needed) the DiskCache for one tier name,
 // or nil if the name is outside the sanctioned alphabet.
@@ -150,9 +134,10 @@ func (s *Server) handlePutCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A cell that does not parse would poison every future Get into a
-	// corrupt-miss; reject it at the door instead.
-	if !json.Valid(body) {
-		http.Error(w, "cell body is not valid JSON", http.StatusBadRequest)
+	// corrupt-miss; reject it at the door instead. A JSON null parses
+	// but is no value: clients would read it back as a nil result.
+	if !json.Valid(body) || string(bytes.TrimSpace(body)) == "null" {
+		http.Error(w, "cell body is not a JSON value", http.StatusBadRequest)
 		return
 	}
 	t.putMu.Lock()

@@ -18,17 +18,17 @@ type cell struct {
 	Acc  float64 `json:"acc"`
 }
 
-func newTestServer(t *testing.T) (*Server, string, *obs.Registry) {
+// newTestServer serves a fresh store and returns its directory and URL.
+func newTestServer(t *testing.T) (dir, url string) {
 	t.Helper()
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s, err := NewServer(dir, reg)
+	dir = t.TempDir()
+	s, err := NewServer(dir, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	return s, srv.URL, reg
+	return dir, srv.URL
 }
 
 func newClient[T any](t *testing.T, url, tier string) *runner.HTTPCache[T] {
@@ -42,7 +42,7 @@ func newClient[T any](t *testing.T, url, tier string) *runner.HTTPCache[T] {
 // the real server: the integration the two in-package unit suites
 // stub out.
 func TestStoreRoundTrip(t *testing.T) {
-	s, url, _ := newTestServer(t)
+	dir, url := newTestServer(t)
 	c := newClient[cell](t, url, "network")
 
 	if _, ok := c.Get("k1"); ok {
@@ -67,7 +67,7 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	// The store's layout IS the -cache-dir layout: a plain DiskCache
 	// over the same tier subdirectory reads cells the fabric wrote.
-	dc, err := runner.NewDiskCache[cell](filepath.Join(s.Dir(), "network"))
+	dc, err := runner.NewDiskCache[cell](filepath.Join(dir, "network"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,23 +82,26 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreRejectsBadRequests: malformed cells and tier names never
-// reach disk; an invalid-JSON PUT is a client error the cache
-// remembers, not a poisoned entry every future Get trips over.
+// reach disk; an invalid-JSON or null PUT is a client error, not a
+// poisoned entry every future Get trips over.
 func TestStoreRejectsBadRequests(t *testing.T) {
-	_, url, _ := newTestServer(t)
+	_, url := newTestServer(t)
 
-	req, _ := http.NewRequest(http.MethodPut, url+"/cell/network/bad", strings.NewReader("{not json"))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("invalid JSON PUT: %s, want 400", resp.Status)
-	}
-	c := newClient[cell](t, url, "network")
-	if _, ok := c.Get("bad"); ok {
-		t.Fatal("rejected cell must not be stored")
+	// A JSON null parses but is no value: clients would decode it as a
+	// nil result.
+	for key, body := range map[string]string{"bad": "{not json", "null": " null\n"} {
+		req, _ := http.NewRequest(http.MethodPut, url+"/cell/network/"+key, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("PUT %q: %s, want 400", body, resp.Status)
+		}
+		if _, ok := newClient[cell](t, url, "network").Get(key); ok {
+			t.Fatalf("rejected cell %q must not be stored", body)
+		}
 	}
 
 	for _, path := range []string{"/cell/..%2Fescape/k", "/manifest/No.Such.Tier"} {
@@ -117,7 +120,7 @@ func TestStoreRejectsBadRequests(t *testing.T) {
 // sides embed, and /metrics exports the request counters plus the
 // per-tier disk counters.
 func TestStoreHealthAndMetrics(t *testing.T) {
-	_, url, _ := newTestServer(t)
+	_, url := newTestServer(t)
 	c := newClient[cell](t, url, "network")
 	c.Put("k", cell{Name: "v"})
 	c.Get("k")
@@ -149,7 +152,7 @@ func TestStoreHealthAndMetrics(t *testing.T) {
 // (every worker that missed it computes the identical value) must end
 // with a readable, uncorrupted cell and no write errors.
 func TestConcurrentPutsSameKey(t *testing.T) {
-	_, url, _ := newTestServer(t)
+	_, url := newTestServer(t)
 	done := make(chan *runner.HTTPCache[cell], 8)
 	for i := 0; i < 8; i++ {
 		go func() {
@@ -183,119 +186,5 @@ func getJSON(t *testing.T, url string, v any) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCampaignService walks the service front end to end: register a
-// suite, watch the audit flip as a worker pushes cells, read the
-// cached sweep points back.
-func TestCampaignService(t *testing.T) {
-	_, url, _ := newTestServer(t)
-	doc := `{
-	  "name": "svc",
-	  "network": {"images": 8, "neurons": 16, "steps": 40},
-	  "entries": [
-	    {"id": "S1", "scenario": {"attack": 3, "changes_pc": [-20, 10]}}
-	  ]
-	}`
-	post := func() (id string, n int) {
-		resp, err := http.Post(url+"/campaign", "application/json", strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /campaign: %s", resp.Status)
-		}
-		var out struct {
-			ID    string `json:"id"`
-			Cells int    `json:"cells"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.ID, out.Cells
-	}
-	id, n := post()
-	if n != 3 { // baseline + 2 grid cells
-		t.Fatalf("campaign registered %d cells, want 3", n)
-	}
-	if id2, _ := post(); id2 != id {
-		t.Fatal("re-registering the same suite must be idempotent")
-	}
-
-	var cold campaignStatus
-	getJSON(t, url+"/campaign/"+id, &cold)
-	if cold.Schema != CampaignSchema || cold.Present != 0 || cold.Missing != 3 || cold.Complete {
-		t.Fatalf("cold status = %+v, want 0/3 incomplete", cold)
-	}
-	if cold.Cells[0].Entry != "" || cold.Cells[1].Entry != "S1" {
-		t.Fatalf("attribution = %q,%q, want baseline then S1", cold.Cells[0].Entry, cold.Cells[1].Entry)
-	}
-
-	// A worker pushes one computed cell; the audit flips live.
-	worker := newClient[cell](t, url, "network")
-	worker.Put(cold.Cells[1].Key, cell{Name: "computed", Acc: 0.75})
-	var warm campaignStatus
-	getJSON(t, url+"/campaign/"+id, &warm)
-	if warm.Present != 1 || warm.Missing != 2 {
-		t.Fatalf("warm status = %d/%d, want 1 present / 2 missing", warm.Present, warm.Missing)
-	}
-	if !warm.Cells[1].Present || warm.Cells[0].Present {
-		t.Fatal("presence attributed to the wrong cell")
-	}
-
-	var cells []struct {
-		Key    string `json:"key"`
-		Result cell   `json:"result"`
-	}
-	getJSON(t, url+"/campaign/"+id+"/cells", &cells)
-	if len(cells) != 1 || cells[0].Key != cold.Cells[1].Key || cells[0].Result.Acc != 0.75 {
-		t.Fatalf("served cells = %+v, want the one pushed point", cells)
-	}
-
-	resp, err := http.Get(url + "/campaign/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown campaign: %s, want 404", resp.Status)
-	}
-}
-
-// TestCampaignOverridesChangeIdentity: the reduced-scale knobs are
-// part of every fingerprint, so they must be part of the campaign id.
-func TestCampaignOverridesChangeIdentity(t *testing.T) {
-	_, url, _ := newTestServer(t)
-	doc := `{"name":"svc","network":{"images":8,"neurons":16,"steps":40},
-	  "entries":[{"id":"S1","scenario":{"attack":3,"changes_pc":[10]}}]}`
-	post := func(q string) string {
-		resp, err := http.Post(url+"/campaign"+q, "application/json", strings.NewReader(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /campaign%s: %s", q, resp.Status)
-		}
-		var out struct {
-			ID string `json:"id"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.ID
-	}
-	if post("") == post("?images=4") {
-		t.Fatal("scale overrides must change the campaign id")
-	}
-	resp, err := http.Post(url+"/campaign?images=x", "application/json", strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad override: %s, want 400", resp.Status)
 	}
 }

@@ -51,11 +51,6 @@ func NewCharacterizer() *Characterizer {
 	return &Characterizer{Cache: runner.NewMemoryCache[float64]()}
 }
 
-// defaultChar backs the package-level characterization functions: all
-// CPUs, deterministic, no cross-call cache (benchmarks rely on every
-// call re-simulating).
-var defaultChar = &Characterizer{}
-
 // charPoint is one sweep point before execution: the independent
 // value, the content-address of (recipe, measurement), and the
 // measurement itself.
@@ -306,50 +301,4 @@ func (ch *Characterizer) DummyCountVsVDD(kind DummyKind, window float64, vdds []
 		}
 	}
 	return ch.sweep(fmt.Sprintf("dummy-%v-count-vs-vdd", kind), pts)
-}
-
-// The package-level sweep functions keep the original serial API,
-// executing on the default Characterizer (all CPUs, uncached).
-
-// AHThresholdVsVDD sweeps the AH membrane threshold against VDD (Fig. 6a).
-func AHThresholdVsVDD(vdds []float64) ([]Point, error) { return defaultChar.AHThresholdVsVDD(vdds) }
-
-// AHThresholdVsSizing sweeps the AH threshold against MP1 sizing (Fig. 9c).
-func AHThresholdVsSizing(vdd float64, ratios []float64) ([]Point, error) {
-	return defaultChar.AHThresholdVsSizing(vdd, ratios)
-}
-
-// IAFThresholdVsVDD sweeps the I&F threshold reference against VDD (Fig. 6a).
-func IAFThresholdVsVDD(vdds []float64) ([]Point, error) {
-	return defaultChar.IAFThresholdVsVDD(vdds)
-}
-
-// DriverAmplitudeVsVDD sweeps the driver spike amplitude against VDD (Fig. 5b).
-func DriverAmplitudeVsVDD(vdds []float64) ([]Point, error) {
-	return defaultChar.DriverAmplitudeVsVDD(vdds)
-}
-
-// RobustDriverAmplitudeVsVDD sweeps the defended driver (Fig. 9b).
-func RobustDriverAmplitudeVsVDD(vdds []float64) ([]Point, error) {
-	return defaultChar.RobustDriverAmplitudeVsVDD(vdds)
-}
-
-// AHTimeToSpikeVsVDD sweeps the AH first-spike latency against VDD (Fig. 6b).
-func AHTimeToSpikeVsVDD(vdds []float64) ([]Point, error) {
-	return defaultChar.AHTimeToSpikeVsVDD(vdds)
-}
-
-// AHTimeToSpikeVsAmplitude sweeps the AH latency against input amplitude (Fig. 5c).
-func AHTimeToSpikeVsAmplitude(amps []float64) ([]Point, error) {
-	return defaultChar.AHTimeToSpikeVsAmplitude(amps)
-}
-
-// IAFTimeToSpikeVsAmplitude sweeps the I&F latency against input amplitude (Fig. 5c).
-func IAFTimeToSpikeVsAmplitude(amps []float64) ([]Point, error) {
-	return defaultChar.IAFTimeToSpikeVsAmplitude(amps)
-}
-
-// IAFTimeToSpikeVsVDD sweeps the I&F first-spike latency against VDD (Fig. 6c).
-func IAFTimeToSpikeVsVDD(vdds []float64) ([]Point, error) {
-	return defaultChar.IAFTimeToSpikeVsVDD(vdds)
 }

@@ -33,7 +33,7 @@ func TestGoldenDriverAmplitude(t *testing.T) {
 		1.0: 2.1514137498572537e-07,
 		1.2: 2.7354772069126285e-07,
 	}
-	pts, err := DriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
+	pts, err := sweeps.DriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestGoldenThresholdEndpoints(t *testing.T) {
 		1.0: 0.50250000000000028,
 		1.2: 0.60300000000000042,
 	}
-	ah, err := AHThresholdVsVDD([]float64{0.8, 1.0, 1.2})
+	ah, err := sweeps.AHThresholdVsVDD([]float64{0.8, 1.0, 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGoldenThresholdEndpoints(t *testing.T) {
 			t.Errorf("AH threshold at VDD=%.1f: got %.17g, want %.17g (grid-exact)", p.X, p.Y, wantAH[p.X])
 		}
 	}
-	iaf, err := IAFThresholdVsVDD([]float64{0.8, 1.0, 1.2})
+	iaf, err := sweeps.IAFThresholdVsVDD([]float64{0.8, 1.0, 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGoldenRobustDriver(t *testing.T) {
 		1.0: 2.0007496326064341e-07,
 		1.2: 2.0012388571258688e-07,
 	}
-	pts, err := RobustDriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
+	pts, err := sweeps.RobustDriverAmplitudeVsVDD([]float64{0.8, 1.0, 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -78,9 +79,10 @@ func (c *DiskCache[T]) path(key string) string {
 }
 
 // Get loads the entry for key, if a well-formed one exists. A corrupt
-// entry (the file read fine but did not decode) counts as both a
-// corruption and a miss — hits+misses stays the lookup count while
-// the corrupt counter flags the damage.
+// entry (the file read fine but did not decode, or decoded from a JSON
+// null, which holds no value) counts as both a corruption and a miss —
+// hits+misses stays the lookup count while the corrupt counter flags
+// the damage.
 func (c *DiskCache[T]) Get(key string) (T, bool) {
 	var v T
 	if c == nil {
@@ -92,7 +94,7 @@ func (c *DiskCache[T]) Get(key string) (T, bool) {
 		c.misses.Inc()
 		return zero, false
 	}
-	if json.Unmarshal(data, &v) != nil {
+	if json.Unmarshal(data, &v) != nil || isNull(data) {
 		var zero T
 		c.corrupt.Inc()
 		c.misses.Inc()
@@ -235,4 +237,11 @@ func (c *DiskCache[T]) setErr(err error) {
 	if first && warn != nil {
 		warn(err)
 	}
+}
+
+// isNull reports whether a JSON document is the literal null. It
+// decodes without error into any T, leaving a nil pointer or a zero
+// value that would pass for a computed result.
+func isNull(data []byte) bool {
+	return string(bytes.TrimSpace(data)) == "null"
 }

@@ -67,18 +67,48 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 	key := KeyOf("corrupt")
 	c.Put(key, &cachedResult{Name: "x"})
-	// Truncate the entry mid-JSON, as a crash mid-write outside the
-	// rename protocol would.
 	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("want one entry file, got %v (%v)", entries, err)
 	}
-	if err := os.WriteFile(entries[0], []byte(`{"Name":"x`), 0o644); err != nil {
-		t.Fatal(err)
+	// An entry truncated mid-JSON (a crash mid-write outside the rename
+	// protocol), and a JSON null, which decodes without error into a
+	// nil pointer a campaign would score against.
+	for i, body := range []string{`{"Name":"x`, "null\n"} {
+		if err := os.WriteFile(entries[0], []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := c.Get(key); ok {
+			t.Fatalf("corrupt entry %q must degrade to a miss, got hit %v", body, v)
+		}
+		if got := c.Corrupt(); got != int64(i+1) {
+			t.Fatalf("after %q: corrupt = %d, want %d", body, got, i+1)
+		}
 	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("corrupt entry must degrade to a miss, not a hit")
+}
+
+// FuzzDiskCacheGet: whatever bytes a cell file holds — truncated,
+// corrupt, hostile — Get either misses or returns a non-nil value.
+func FuzzDiskCacheGet(f *testing.F) {
+	for _, seed := range []string{
+		`{"Name":"attack","Acc":0.30000000000000004,"Inner":{"Name":"base","Acc":0.3333333333333333,"Inner":null}}`,
+		`{"Name":"x`, `null`, " null\n", `{}`, `[]`, `0`, `"s"`, ``,
+	} {
+		f.Add([]byte(seed))
 	}
+	c, err := NewDiskCache[*cachedResult](f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := KeyOf("fuzz")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := c.Get(key); ok && v == nil {
+			t.Fatalf("Get hit with a nil value for file %q", data)
+		}
+	})
 }
 
 // TestDiskCacheUnsafeKey: keys that are not well-formed digests are

@@ -36,7 +36,7 @@ const StoreProtocol = "snnfi-store-v1"
 // degrades to a miss (the cell is recomputed — correctness never
 // depends on the store), an exhausted Put is remembered (Err,
 // OnFirstWriteError) but non-fatal, and a cell that arrives corrupt
-// counts as an error and a miss. The worst a broken store can do is
+// (or as a JSON null) counts as an error and a miss. The worst a broken store can do is
 // cost recomputation.
 //
 // Values round-trip through encoding/json exactly as DiskCache's do,
@@ -171,7 +171,8 @@ func (c *HTTPCache[T]) Get(key string) (T, bool) {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var v T
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || json.Unmarshal(data, &v) != nil || isNull(data) {
 			c.errs.Inc()
 			c.misses.Inc()
 			return zero, false

@@ -176,18 +176,21 @@ func TestHTTPCacheDegradeToMiss(t *testing.T) {
 }
 
 // TestHTTPCacheCorruptDegradesToMiss mirrors the DiskCache contract:
-// a cell that arrives but does not decode counts as an error and a
-// miss, never a failure.
+// a cell that arrives but does not decode, or decodes from a JSON null
+// into a nil pointer, counts as an error and a miss, never a failure.
 func TestHTTPCacheCorruptDegradesToMiss(t *testing.T) {
-	c, stub := newTestHTTPCache[cachedResult](t)
+	c, stub := newTestHTTPCache[*cachedResult](t)
 	stub.mu.Lock()
 	stub.cells["bad"] = []byte("{not json")
+	stub.cells["null"] = []byte("null")
 	stub.mu.Unlock()
-	if _, ok := c.Get("bad"); ok {
-		t.Fatal("corrupt cell must miss")
-	}
-	if e := c.Errors(); e != 1 {
-		t.Fatalf("errors = %d, want 1", e)
+	for i, key := range []string{"bad", "null"} {
+		if v, ok := c.Get(key); ok {
+			t.Fatalf("corrupt cell %q must miss, got hit %v", key, v)
+		}
+		if e := c.Errors(); e != int64(i+1) {
+			t.Fatalf("after %q: errors = %d, want %d", key, e, i+1)
+		}
 	}
 }
 

@@ -9,11 +9,6 @@ package snn
 // accumulation and the O(NExc) lateral inhibition; see EXPERIMENTS.md
 // for their calibration record). Everything else must match the engine
 // bit for bit: spike trains, weights, traces.
-//
-// The reference additionally maintains a transposed weight view through
-// the tensor transpose-sync kernels, verifying that dual-layout
-// STDP/normalization (TransposeInto, NormalizeRows, the scatter
-// kernels) tracks the engine's weights exactly.
 
 import (
 	"math"
@@ -89,13 +84,12 @@ func (g *refLIF) step(drive tensor.Vector) []int {
 	return g.scratch
 }
 
-// refNet is the dense reference network. w is the input-major weight
-// matrix; wt is its transposed view maintained through the tensor
-// kernels.
+// refNet is the dense reference network; w is the input-major weight
+// matrix.
 type refNet struct {
 	cfg        DiehlCookConfig
 	driveScale float64
-	w, wt      *tensor.Matrix
+	w          *tensor.Matrix
 	exc, inh   *refLIF
 	preTrace   tensor.Vector
 	driveExc   tensor.Vector
@@ -113,14 +107,13 @@ func newRefNet(t *testing.T, cfg DiehlCookConfig) *refNet {
 	}
 	r := &refNet{
 		cfg: cfg,
-		w:   eng.W.Copy(), wt: tensor.NewMatrix(cfg.NExc, cfg.NInput),
+		w:   eng.W.Copy(),
 		exc: newRefLIF(ExcConfig(cfg.NExc)), inh: newRefLIF(InhConfig(cfg.NInh)),
 		driveScale: 1,
 		preTrace:   tensor.NewVector(cfg.NInput),
 		driveExc:   tensor.NewVector(cfg.NExc),
 		driveInh:   tensor.NewVector(cfg.NInh),
 	}
-	r.w.TransposeInto(r.wt)
 	return r
 }
 
@@ -131,7 +124,6 @@ func newFrozenRefNet(t *testing.T, n *DiehlCook) *refNet {
 	t.Helper()
 	r := newRefNet(t, n.Cfg)
 	r.w = n.W.Copy()
-	r.w.TransposeInto(r.wt)
 	r.driveScale = n.InputDriveScale
 	for _, l := range []struct {
 		ref *refLIF
@@ -147,9 +139,6 @@ func newFrozenRefNet(t *testing.T, n *DiehlCook) *refNet {
 
 func (r *refNet) normalize() {
 	r.w.NormalizeCols(r.cfg.Norm)
-	// The transposed layout normalizes by rows; both must stay in sync
-	// bit for bit (checked by the test after every image).
-	r.wt.NormalizeRows(r.cfg.Norm)
 }
 
 func (r *refNet) reset() {
@@ -186,7 +175,7 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 	}
 	inhSpikes := r.inh.step(r.driveInh)
 
-	// Dense pre-optimization STDP, mirrored into the transposed view.
+	// Dense pre-optimization STDP.
 	if learn {
 		for _, i := range inputSpikes {
 			row := r.w.Row(i)
@@ -199,7 +188,6 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 					w = 0
 				}
 				row[j] = w
-				r.wt.Set(j, i, w)
 			}
 		}
 		for _, j := range excSpikes {
@@ -210,7 +198,6 @@ func (r *refNet) step(inputSpikes []int, learn bool) []int {
 						w = cfg.WMax
 					}
 					r.w.Set(i, j, w)
-					r.wt.Set(j, i, w)
 				}
 			}
 		}
@@ -241,8 +228,7 @@ func sameInts(a, b []int) bool {
 
 // TestEngineMatchesDenseReference drives the sparse engine and the
 // dense reference over identical spike trains and demands bit-identical
-// spikes, traces and weights at every step, plus an exactly transposed
-// weight view.
+// spikes, traces and weights at every step.
 func TestEngineMatchesDenseReference(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NExc, cfg.NInh = 25, 25
@@ -293,13 +279,6 @@ func TestEngineMatchesDenseReference(t *testing.T) {
 
 		if !eng.W.Equal(ref.w, 0) {
 			t.Fatalf("img %d: weights diverge from dense reference", imgIdx)
-		}
-		for j := 0; j < cfg.NExc; j++ {
-			for i := 0; i < cfg.NInput; i++ {
-				if ref.wt.At(j, i) != ref.w.At(i, j) {
-					t.Fatalf("img %d: transposed view out of sync at (%d,%d)", imgIdx, j, i)
-				}
-			}
 		}
 	}
 	if totalSpikes == 0 {

@@ -15,7 +15,8 @@ import (
 // DetectorSpec → defense.DetectorConfig, RecipeRef →
 // neuron.RecipeSpec. Compilation is pure — the same spec always
 // yields the same value — which is what makes a suite's cell keys
-// (core.ScenarioKeys) stable across runs and processes.
+// (the content addresses core.AuditScenario and the caches see) stable
+// across runs and processes.
 
 // Kind names the entry's primary experiment family.
 func (e *Entry) Kind() string {

@@ -60,10 +60,10 @@ type Runner struct {
 // Monitor returns the campaign monitor, nil until a network entry ran.
 func (r *Runner) Monitor() *core.Monitor { return r.mon }
 
-// Config resolves the network configuration the suite's scenario
+// config resolves the network configuration the suite's scenario
 // entries train: the suite's network spec over snn.DefaultConfig, then
 // the runner's explicit overrides.
-func (r *Runner) Config() (snn.DiehlCookConfig, int) {
+func (r *Runner) config() (snn.DiehlCookConfig, int) {
 	cfg := snn.DefaultConfig()
 	images := 1000
 	if n := r.Suite.Network; n != nil {
@@ -113,7 +113,7 @@ func (r *Runner) Experiment() (*core.Experiment, error) {
 	if r.exp != nil {
 		return r.exp, nil
 	}
-	cfg, images := r.Config()
+	cfg, images := r.config()
 	e, err := core.NewExperiment(r.DataDir, images, cfg)
 	if err != nil {
 		return nil, err

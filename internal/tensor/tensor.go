@@ -41,14 +41,6 @@ func (x Vector) Add(y Vector) {
 	}
 }
 
-// Sub subtracts y from x element-wise.
-func (x Vector) Sub(y Vector) {
-	checkLen(len(x), len(y))
-	for i := range x {
-		x[i] -= y[i]
-	}
-}
-
 // Scale multiplies every element by s, four elements per iteration
 // (independent per-element products, so the unroll is bit-identical to
 // the scalar loop while exposing instruction-level parallelism).
@@ -82,14 +74,6 @@ func (x Vector) DecayToward(target, decay float64) {
 	}
 }
 
-// AddScaled adds s*y into x.
-func (x Vector) AddScaled(s float64, y Vector) {
-	checkLen(len(x), len(y))
-	for i := range x {
-		x[i] += s * y[i]
-	}
-}
-
 // Sum returns the sum of all elements.
 func (x Vector) Sum() float64 {
 	var s float64
@@ -97,48 +81,6 @@ func (x Vector) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Max returns the maximum element and its index. For an empty vector it
-// returns (-Inf, -1).
-func (x Vector) Max() (float64, int) {
-	best, idx := math.Inf(-1), -1
-	for i, v := range x {
-		if v > best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Min returns the minimum element and its index. For an empty vector it
-// returns (+Inf, -1).
-func (x Vector) Min() (float64, int) {
-	best, idx := math.Inf(1), -1
-	for i, v := range x {
-		if v < best {
-			best, idx = v, i
-		}
-	}
-	return best, idx
-}
-
-// Argmax returns the index of the largest element, breaking ties toward
-// the lowest index. Returns -1 for an empty vector.
-func (x Vector) Argmax() int {
-	_, idx := x.Max()
-	return idx
-}
-
-// Clamp limits every element to [lo, hi].
-func (x Vector) Clamp(lo, hi float64) {
-	for i, v := range x {
-		if v < lo {
-			x[i] = lo
-		} else if v > hi {
-			x[i] = hi
-		}
-	}
 }
 
 // Zero sets every element to 0.
@@ -152,43 +94,6 @@ func (x Vector) ScatterScale(idx []int, s float64) {
 	for _, i := range idx {
 		x[i] *= s
 	}
-}
-
-// ScatterAddScaledClamp performs x[i] = min(x[i]+s*src[i], hi) for each
-// i in idx. This is one row of a sparse outer-product update — the STDP
-// potentiation kernel applied to a contiguous (transposed) weight row
-// over the active pre-trace indices.
-func (x Vector) ScatterAddScaledClamp(idx []int, src Vector, s, hi float64) {
-	for _, i := range idx {
-		v := x[i] + s*src[i]
-		if v > hi {
-			v = hi
-		}
-		x[i] = v
-	}
-}
-
-// ScatterSubScaledFloor performs x[i] = max(x[i]-s*src[i], 0) for each
-// i in idx — the STDP depression kernel over the active post-trace
-// indices.
-func (x Vector) ScatterSubScaledFloor(idx []int, src Vector, s float64) {
-	for _, i := range idx {
-		v := x[i] - s*src[i]
-		if v < 0 {
-			v = 0
-		}
-		x[i] = v
-	}
-}
-
-// Dot returns the inner product of x and y.
-func (x Vector) Dot(y Vector) float64 {
-	checkLen(len(x), len(y))
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
 }
 
 // Matrix is a dense row-major matrix.
@@ -221,50 +126,9 @@ func (m *Matrix) Copy() *Matrix {
 	return c
 }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float64) { Vector(m.Data).Fill(v) }
-
-// Scale multiplies every element by s.
-func (m *Matrix) Scale(s float64) { Vector(m.Data).Scale(s) }
-
-// Clamp limits every element to [lo, hi].
-func (m *Matrix) Clamp(lo, hi float64) { Vector(m.Data).Clamp(lo, hi) }
-
-// MulVec computes out = mᵀ·x when transpose is true (treating rows as
-// inputs, columns as outputs, the synapse convention w[pre][post]) or
-// out = m·x otherwise. out must have the correct length.
-func (m *Matrix) MulVec(x, out Vector, transpose bool) {
-	if transpose {
-		checkLen(len(x), m.Rows)
-		checkLen(len(out), m.Cols)
-		out.Zero()
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			if xi == 0 {
-				continue
-			}
-			row := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, w := range row {
-				out[j] += xi * w
-			}
-		}
-		return
-	}
-	checkLen(len(x), m.Cols)
-	checkLen(len(out), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		out[i] = s
-	}
-}
-
-// AccumulateRows adds row i of m into out for every index i in active.
-// This is the sparse forward-propagation kernel: active carries the
-// indices of presynaptic neurons that spiked this step.
+// AccumulateRows adds row i of m into out for every index i in active
+// (the indices of presynaptic neurons that spiked this step). It is the
+// plain reference form of SumRows, which the engine's drive pass uses.
 func (m *Matrix) AccumulateRows(active []int, out Vector) {
 	checkLen(len(out), m.Cols)
 	for _, i := range active {
@@ -272,22 +136,6 @@ func (m *Matrix) AccumulateRows(active []int, out Vector) {
 		o := out[:len(row)] // bounds-check elimination in the inner loop
 		for j, w := range row {
 			o[j] += w
-		}
-	}
-}
-
-// AccumulateRowsScaled adds s times row i of m into out for every index
-// i in active — the forward-propagation kernel with a per-spike drive
-// scale folded in, so callers avoid a second dense pass over out. Note
-// the arithmetic differs from AccumulateRows-then-Scale at the ulp
-// level (s distributes over the row sum).
-func (m *Matrix) AccumulateRowsScaled(active []int, s float64, out Vector) {
-	checkLen(len(out), m.Cols)
-	for _, i := range active {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		o := out[:len(row)]
-		for j, w := range row {
-			o[j] += s * w
 		}
 	}
 }
@@ -362,35 +210,6 @@ func (m *Matrix) SumRowsScaled(active []int, s float64, out Vector) {
 	}
 }
 
-// TransposeInto writes mᵀ into dst, which must be Cols×Rows. The copy
-// is blocked for cache friendliness — this is the transpose-sync helper
-// for code that maintains both layouts of one logical matrix.
-func (m *Matrix) TransposeInto(dst *Matrix) {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("tensor: transpose shape mismatch: %dx%d into %dx%d",
-			m.Rows, m.Cols, dst.Rows, dst.Cols))
-	}
-	const bs = 32
-	for ii := 0; ii < m.Rows; ii += bs {
-		iMax := ii + bs
-		if iMax > m.Rows {
-			iMax = m.Rows
-		}
-		for jj := 0; jj < m.Cols; jj += bs {
-			jMax := jj + bs
-			if jMax > m.Cols {
-				jMax = m.Cols
-			}
-			for i := ii; i < iMax; i++ {
-				row := m.Data[i*m.Cols : (i+1)*m.Cols]
-				for j := jj; j < jMax; j++ {
-					dst.Data[j*dst.Cols+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
 // ColSum returns the per-column sums of m.
 func (m *Matrix) ColSum() Vector {
 	s := NewVector(m.Cols)
@@ -401,30 +220,6 @@ func (m *Matrix) ColSum() Vector {
 		}
 	}
 	return s
-}
-
-// RowSum returns the per-row sums of m.
-func (m *Matrix) RowSum() Vector {
-	s := NewVector(m.Rows)
-	m.RowSumInto(s)
-	return s
-}
-
-// RowSumInto writes the per-row sums of m into out (allocation-free
-// form of RowSum).
-func (m *Matrix) RowSumInto(out Vector) {
-	checkLen(len(out), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Sum()
-	}
-}
-
-// ScaleRows multiplies every element of row i by f[i].
-func (m *Matrix) ScaleRows(f Vector) {
-	checkLen(len(f), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Scale(f[i])
-	}
 }
 
 // ScaleCols multiplies every element of column j by f[j], in one
@@ -483,23 +278,6 @@ func (m *Matrix) NormalizeColsSubset(target float64, cols []int) {
 		for i := 0; i < r; i++ {
 			m.Data[i*c+j] *= f
 		}
-	}
-}
-
-// NormalizeRows rescales each row so its sum equals target; zero-sum
-// rows are left untouched. This is NormalizeCols moved to the
-// transposed (output-major) layout, where both the reduction and the
-// rescale are contiguous. For a matrix pair kept in transpose sync it
-// computes bit-identical weights to NormalizeCols on the other layout:
-// the row sum accumulates in the same element order as the column sum.
-func (m *Matrix) NormalizeRows(target float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := Vector(m.Data[i*m.Cols : (i+1)*m.Cols])
-		s := row.Sum()
-		if s == 0 {
-			continue
-		}
-		row.Scale(target / s)
 	}
 }
 
